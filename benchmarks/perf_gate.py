@@ -59,14 +59,17 @@ GATED: dict[str, dict[str, dict[str, float]]] = {
     "sklookup_perf": {"speedup": {"floor": 3.0}, "batch_speedup": {"floor": 3.0}},
     "dns_qps": {"policy_vs_zone": {"floor": 0.5, "tolerance": 0.45}},
     # Flow-engine stage ratios (batched / scalar, measured back to back on
-    # one machine).  Stages close to 1.0 (serve is origin-bound) get wider
-    # tolerances so runner noise doesn't flap the gate; the floors defend
-    # the real claim — batching must never lose to the scalar loop.
+    # one machine).  Stages whose per-flow work batching cannot amortise
+    # sit close to 1.0 — warm-cache resolve; serve, which is bound by the
+    # cache's per-request rendezvous pick and LRU probe, not by the origin
+    # — and get wider tolerances so runner noise doesn't flap the gate; the
+    # floors defend the real claim — batching must never lose to the
+    # scalar loop.
     "flow_hash": {"batch_speedup": {"floor": 1.0, "tolerance": 0.30}},
     "flow_resolve": {"batch_speedup": {"floor": 0.9, "tolerance": 0.25}},
     "flow_connect": {"batch_speedup": {"floor": 0.9, "tolerance": 0.25}},
     "flow_dispatch": {"batch_speedup": {"floor": 1.2, "tolerance": 0.30}},
-    "flow_serve": {"batch_speedup": {"floor": 0.8, "tolerance": 0.25}},
+    "flow_serve": {"batch_speedup": {"floor": 0.9, "tolerance": 0.25}},
     "flow_end_to_end": {"batch_speedup": {"floor": 0.95, "tolerance": 0.25}},
     # Real-socket pool (bench_serve_qps): multi-worker / single-worker UDP
     # throughput.  On multi-core runners SO_REUSEPORT spreads load and the

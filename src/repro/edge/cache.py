@@ -10,9 +10,9 @@ address, so hit rates are identical under static, randomized, or
 one-address policies.  Tests drive the same request stream through
 different addressing policies and assert byte-identical cache behaviour.
 
-Structure: a rendezvous-hash ring assigns each key a home node among the
-datacenter's servers; each node runs an LRU store.  Misses fetch through
-the origin gateway.
+Structure: rendezvous hashing (:func:`repro.hashing.pick`, shared with the
+ECMP router) assigns each key a home node among the datacenter's servers;
+each node runs an LRU store.  Misses fetch through the origin gateway.
 """
 
 from __future__ import annotations
@@ -20,10 +20,15 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..hashing import fnv1a64, hrw_seed, pick
 from ..web.http import Request, Response, Status
 from ..web.origin import OriginPool
 
-__all__ = ["CacheNode", "DistributedCache", "CacheNodeStats"]
+__all__ = ["CacheNode", "DistributedCache", "CacheNodeStats", "UnknownNodeError"]
+
+
+class UnknownNodeError(LookupError):
+    """Membership change targeting a node this cache never had."""
 
 
 @dataclass(slots=True)
@@ -75,19 +80,6 @@ class CacheNode:
         return len(self._store)
 
 
-def _hrw(node: str, key: tuple[str, str]) -> int:
-    h = 0xCBF29CE484222325
-    for piece in (node, key[0], key[1]):
-        for byte in piece.encode():
-            h ^= byte
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        h ^= 0xFF
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    # Avalanche finalizer: similar node names must not correlate weights.
-    from .ecmp import _splitmix64
-    return _splitmix64(h)
-
-
 class DistributedCache:
     """The datacenter-wide cache: HRW home-node selection over LRU nodes."""
 
@@ -95,6 +87,9 @@ class DistributedCache:
         self.origin_gateway = origin_gateway
         self.node_capacity_bytes = node_capacity_bytes
         self._nodes: dict[str, CacheNode] = {}
+        #: One :func:`~repro.hashing.hrw_seed` per node; touched only by
+        #: :meth:`add_node` / :meth:`remove_node`.
+        self._seeds: list[tuple[int, str]] = []
 
     # -- membership ----------------------------------------------------------
 
@@ -103,19 +98,33 @@ class DistributedCache:
             raise ValueError(f"cache node {name!r} already present")
         node = CacheNode(name, self.node_capacity_bytes)
         self._nodes[name] = node
+        self._seeds.append(hrw_seed(name))
         return node
 
     def remove_node(self, name: str) -> None:
+        """Drop a node and its slice; raises :class:`UnknownNodeError` if
+        absent."""
+        if name not in self._nodes:
+            raise UnknownNodeError(
+                f"cache node {name!r} not in the distributed cache "
+                f"(members: {', '.join(self._nodes) or 'none'})"
+            )
         del self._nodes[name]
+        self._seeds.remove(hrw_seed(name))
 
     def nodes(self) -> dict[str, CacheNode]:
         return dict(self._nodes)
 
     def home_node(self, key: tuple[str, str]) -> CacheNode:
+        """The node owning ``key``: the content identity is hashed once —
+        ``fnv1a64(host ‖ 0xFF ‖ path)`` — and weighed against every node's
+        seed.  The separator byte cannot occur in UTF-8, so distinct
+        (host, path) pairs never concatenate to the same bytes."""
         if not self._nodes:
             raise RuntimeError("distributed cache has no nodes")
-        name = max(self._nodes, key=lambda n: _hrw(n, key))
-        return self._nodes[name]
+        host, path = key
+        key_hash = fnv1a64(host.encode() + b"\xff" + path.encode())
+        return self._nodes[pick(self._seeds, key_hash)]
 
     # -- the serve path ---------------------------------------------------------
 

@@ -4,9 +4,10 @@ Figure 6: "An ECMP router with consistent hashing fans connections out to
 servers … the datacenter's first-pass stateless load balancer that hashes
 packets in a consistent manner to spread connections between servers."
 
-We use rendezvous (highest-random-weight) hashing: every flow hashes each
-server with the flow key and picks the maximum.  This gives the two
-properties the paper's architecture relies on:
+We use rendezvous (highest-random-weight) hashing — :func:`repro.hashing.pick`,
+the same primitive the distributed cache homes keys with: every flow
+weighs each server against the flow key and takes the maximum.  This gives
+the two properties the paper's architecture relies on:
 
 * all packets of a flow reach the same server (no per-flow state), and
 * adding/removing a server reshuffles only ~1/n of flows.
@@ -19,9 +20,10 @@ irrelevant to fan-out correctness.  Tests assert exactly that.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from ..hashing import hrw_seed, pick
 from ..netsim.packet import Packet
 from ..sockets.errors import BatchShapeError
 from ..sockets.lookup import flow_hash
@@ -31,28 +33,6 @@ __all__ = ["ECMPRouter", "EcmpStats", "UnknownServerError"]
 
 class UnknownServerError(LookupError):
     """Membership change targeting a server this ECMP group never had."""
-
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _splitmix64(x: int) -> int:
-    """Finalizer with full avalanche — plain FNV mixing is not enough here:
-    similar server names ("s7"/"s8") otherwise produce correlated weights
-    and skew the HRW argmax."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _hrw_weight(server: str, fh: int) -> int:
-    """Combine server identity with the flow hash."""
-    h = 0xCBF29CE484222325
-    for byte in server.encode():
-        h ^= byte
-        h = (h * 0x100000001B3) & _MASK64
-    return _splitmix64(h ^ fh)
 
 
 @dataclass(slots=True)
@@ -77,18 +57,13 @@ class EcmpStats:
 class ECMPRouter:
     """Rendezvous-hash router over a named server set.
 
-    ``weight_fn`` is injectable (tests use degenerate weights to exercise
-    tie handling deterministically); production callers take the default
-    :func:`_hrw_weight`.
+    Each member is held as its :func:`~repro.hashing.hrw_seed` — the name
+    hashed once when it joins — so a routing decision never touches the
+    names' bytes.
     """
 
-    def __init__(
-        self,
-        servers: list[str] | None = None,
-        weight_fn: Callable[[str, int], int] = _hrw_weight,
-    ) -> None:
-        self._servers: list[str] = []
-        self._weight = weight_fn
+    def __init__(self, servers: list[str] | None = None) -> None:
+        self._seeds: list[tuple[int, str]] = []
         self.stats = EcmpStats()
         for s in servers or []:
             self.add_server(s)
@@ -96,9 +71,10 @@ class ECMPRouter:
     # -- membership ---------------------------------------------------------
 
     def add_server(self, server: str) -> None:
-        if server in self._servers:
+        seed = hrw_seed(server)
+        if seed in self._seeds:
             raise ValueError(f"server {server!r} already in ECMP group")
-        self._servers.append(server)
+        self._seeds.append(seed)
 
     def remove_server(self, server: str) -> None:
         """Drop a member; raises :class:`UnknownServerError` if absent.
@@ -108,18 +84,18 @@ class ECMPRouter:
         a bad argument elsewhere.  Stats are untouched either way:
         ``EcmpStats`` is routing history, not membership."""
         try:
-            self._servers.remove(server)
+            self._seeds.remove(hrw_seed(server))
         except ValueError:
             raise UnknownServerError(
                 f"server {server!r} not in ECMP group "
-                f"(members: {', '.join(self._servers) or 'none'})"
+                f"(members: {', '.join(self.servers()) or 'none'})"
             ) from None
 
     def servers(self) -> list[str]:
-        return list(self._servers)
+        return [name for _, name in self._seeds]
 
     def __len__(self) -> int:
-        return len(self._servers)
+        return len(self._seeds)
 
     # -- routing -------------------------------------------------------------
 
@@ -137,10 +113,9 @@ class ECMPRouter:
         (drain and restore, in failover terms) would reshuffle tied flows
         that should have stayed put.
         """
-        if not self._servers:
+        if not self._seeds:
             raise RuntimeError("ECMP group is empty")
-        weight = self._weight
-        return max(self._servers, key=lambda s: (weight(s, flow_hash_value), s))
+        return pick(self._seeds, flow_hash_value)
 
     def route(self, packet: Packet, flow_hash_value: int | None = None) -> str:
         """Pick the server for a packet's flow; deterministic per 5-tuple.

@@ -23,7 +23,7 @@ narrative:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..netsim.addr import IPAddress, Prefix
 from ..netsim.packet import FiveTuple, Packet, Protocol
@@ -340,7 +340,13 @@ class EdgeServer:
 
     def _timed(self, response: Response) -> Response:
         """Stamp this server's current service time onto the response."""
-        return replace(response, latency_s=self.serve_latency_s)
+        return Response(
+            status=response.status,
+            body_len=response.body_len,
+            served_by=response.served_by,
+            cache_hit=response.cache_hit,
+            latency_s=self.serve_latency_s,
+        )
 
     # -- accounting ------------------------------------------------------------
 

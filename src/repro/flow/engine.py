@@ -120,14 +120,17 @@ class FlowEngine:
     def resolve_batch(self, batch: FlowBatch) -> FlowBatch:
         """Fill ``addresses``/``ttls``/``cached`` for every flow."""
         n = len(batch)
-        questions = [
-            Question(DomainName.from_text(h), RRType.A) for h in batch.hostnames
-        ]
+        # One parse per distinct hostname: Zipf batches repeat their head.
+        by_name = {
+            h: Question(DomainName.from_text(h), RRType.A)
+            for h in dict.fromkeys(batch.hostnames)
+        }
+        questions = [by_name[h] for h in batch.hostnames]
         addresses: list[IPAddress | None] = [None] * n
         ttls = [0] * n
         cached = [False] * n
 
-        if len(set(batch.hostnames)) == n:
+        if len(by_name) == n:
             # Columnar path: distinct keys cannot interact, so one batched
             # call per seam is counter-identical to the scalar loop.
             hits = self.cache.lookup_batch(questions)

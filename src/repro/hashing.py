@@ -1,4 +1,4 @@
-"""Process-stable hashing for seeds and synthetic identities.
+"""Process-stable hashing: seeds, synthetic identities, rendezvous picks.
 
 Python's builtin ``hash()`` is salted per process (PYTHONHASHSEED) for
 str/bytes, so any RNG seeded from it — or any address derived from it —
@@ -7,11 +7,16 @@ bit-reproducibility the whole clock/seed discipline exists for, and it is
 exactly what the :mod:`repro.check` determinism lint's ``salted-hash`` rule
 flags.  Everything in the simulator that needs "a number from a name" goes
 through :func:`stable_hash` instead.
+
+The module also holds the simulator's one rendezvous (highest-random-weight)
+hash, :func:`pick`, shared by the ECMP router and the distributed cache.
 """
 
 from __future__ import annotations
 
-__all__ = ["fnv1a64", "stable_hash"]
+from collections.abc import Iterable
+
+__all__ = ["fnv1a64", "stable_hash", "splitmix64", "hrw_seed", "pick"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -43,3 +48,36 @@ def stable_hash(*parts: object) -> int:
             h ^= byte
             h = (h * _FNV_PRIME) & _MASK
     return h
+
+
+def splitmix64(x: int) -> int:
+    """Finalizer with full avalanche — plain FNV mixing is not enough for
+    HRW: similar member names ("s7"/"s8") otherwise produce correlated
+    weights and skew the argmax."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+def hrw_seed(name: str) -> tuple[int, str]:
+    """A member's entry in a :func:`pick` list: its name hashed once, at
+    membership-change time, so no pick ever re-reads the name's bytes."""
+    return fnv1a64(name.encode()), name
+
+
+def pick(members: Iterable[tuple[int, str]], key_hash: int) -> str:
+    """Rendezvous hashing: the member whose ``splitmix64(seed ^ key_hash)``
+    is highest owns the key.
+
+    The weight depends on the (member, key) pair alone, so removing a
+    member remaps only the keys it owned and adding one moves keys only to
+    it.  Equal weights break on the member *name*, never on list position —
+    a drain-and-restore that reorders ``members`` must not rehome a key.
+    """
+    best_weight, best_name = -1, ""
+    for seed, name in members:
+        weight = splitmix64(seed ^ key_hash)
+        if weight > best_weight or (weight == best_weight and name > best_name):
+            best_weight, best_name = weight, name
+    return best_name

@@ -10,7 +10,7 @@ HTTP/2 connection coalescing, Figure 8).  No cryptography is simulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["Certificate", "ClientHello", "CertificateStore", "TLSError"]
 
@@ -19,19 +19,12 @@ class TLSError(Exception):
     """Handshake failure (no certificate for the requested name)."""
 
 
-def _hostname_matches(pattern: str, hostname: str) -> bool:
-    """RFC 6125 matching: exact, or single-label left-most wildcard."""
-    pattern = pattern.lower().rstrip(".")
-    hostname = hostname.lower().rstrip(".")
-    if pattern == hostname:
-        return True
-    if pattern.startswith("*."):
-        suffix = pattern[2:]
-        if not suffix:
-            return False
-        head, sep, rest = hostname.partition(".")
-        return bool(sep) and rest == suffix and head != ""
-    return False
+def _normalize(name: str) -> str:
+    """Lower-case, no trailing dot.  A name already in that form is returned
+    as the same object, so the indexes below share their callers' strings
+    instead of holding a copy of every certificate name."""
+    normal = name.lower().rstrip(".")
+    return name if normal == name else normal
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,17 +35,36 @@ class Certificate:
     ``covers`` is the check browsers run both at handshake time and when
     deciding whether an existing connection's certificate authorises a new
     request's authority (coalescing condition 1, §4.4).
+
+    Matching is RFC 6125: exact, or single-label left-most wildcard.  The
+    names are indexed once, at construction, so ``covers`` costs the same
+    for a 1-name and a 100-name certificate.
     """
 
     subject: str
     san: tuple[str, ...] = ()
     issuer: str = "Repro CA"
+    #: Every name, normalized — a wildcard pattern covers itself literally.
+    _exact: frozenset[str] = field(init=False, repr=False, compare=False)
+    #: ``example.com`` for each ``*.example.com`` among the names.
+    _suffixes: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names = [_normalize(name) for name in self.names()]
+        object.__setattr__(self, "_exact", frozenset(names))
+        object.__setattr__(
+            self, "_suffixes", frozenset(n[2:] for n in names if n.startswith("*."))
+        )
 
     def names(self) -> tuple[str, ...]:
         return (self.subject, *self.san)
 
     def covers(self, hostname: str) -> bool:
-        return any(_hostname_matches(p, hostname) for p in self.names())
+        hostname = _normalize(hostname)
+        if hostname in self._exact:
+            return True
+        head, _, parent = hostname.partition(".")
+        return head != "" and parent in self._suffixes
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,24 +78,25 @@ class ClientHello:
 class CertificateStore:
     """Server-side SNI → certificate selection.
 
-    Lookup order: exact hostname, then wildcard match over stored certs,
-    then the default certificate (if configured).  Clients without SNI get
+    Lookup order: exact hostname, then the wildcard covering its parent
+    domain (the first certificate added wins a suffix), then the default
+    certificate (if configured).  Clients without SNI get
     the default or are rejected — the paper notes some providers now
     mandate SNI; ``require_sni=True`` models that stance.
     """
 
     def __init__(self, default: Certificate | None = None, require_sni: bool = False) -> None:
         self._exact: dict[str, Certificate] = {}
-        self._wildcards: list[Certificate] = []
+        #: ``example.com`` → the certificate carrying ``*.example.com``.
+        self._wildcards: dict[str, Certificate] = {}
         self.default = default
         self.require_sni = require_sni
 
     def add(self, cert: Certificate) -> None:
         for name in cert.names():
-            name = name.lower().rstrip(".")
+            name = _normalize(name)
             if name.startswith("*."):
-                if cert not in self._wildcards:
-                    self._wildcards.append(cert)
+                self._wildcards.setdefault(name[2:], cert)
             else:
                 self._exact[name] = cert
 
@@ -96,13 +109,15 @@ class CertificateStore:
             if self.require_sni or self.default is None:
                 raise TLSError("no SNI and no default certificate")
             return self.default
-        sni = hello.sni.lower().rstrip(".")
+        sni = _normalize(hello.sni)
         cert = self._exact.get(sni)
         if cert is not None:
             return cert
-        for candidate in self._wildcards:
-            if candidate.covers(sni):
-                return candidate
+        head, _, parent = sni.partition(".")
+        if head:
+            cert = self._wildcards.get(parent)
+            if cert is not None:
+                return cert
         if self.default is not None:
             return self.default
         raise TLSError(f"no certificate for SNI {hello.sni!r}")

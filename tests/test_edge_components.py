@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.edge.cache import DistributedCache
+from repro.edge.cache import DistributedCache, UnknownNodeError
 from repro.edge.customers import AccountType, Customer, CustomerRegistry
 from repro.edge.ecmp import ECMPRouter, UnknownServerError
 from repro.edge.l4lb import L4LoadBalancer
+from repro.hashing import pick
 from repro.netsim.addr import parse_address, parse_prefix
 from repro.netsim.packet import FiveTuple, Packet, Protocol
 from repro.web.http import Request, Status
@@ -89,24 +90,21 @@ class TestECMP:
 
     def test_weight_ties_break_on_name_not_list_position(self):
         """Bugfix: HRW ties used to break on list position (``max`` keeps
-        the earliest element), so insertion order leaked into routing.  A
-        degenerate weight function makes every flow a tie: the winner must
-        be the max server *name*, whatever order members joined in."""
-        tied = lambda server, fh: 0  # noqa: E731
-        for order in (["a", "b", "c"], ["c", "b", "a"], ["b", "c", "a"]):
-            router = ECMPRouter(list(order), weight_fn=tied)
-            assert router.route(packet(sport=7)) == "c", order
+        the earliest element), so insertion order leaked into routing.
+        Equal seeds make every key a tie: the winner must be the max
+        member *name*, whatever order members joined in."""
+        for order in ("abc", "cba", "bca"):
+            assert pick([(0, name) for name in order], 7) == "c", order
 
     def test_tied_flows_stable_across_drain_and_restore(self):
-        """Drain a server and re-add it (failover's remove-then-restore):
+        """Drain a member and re-add it (failover's remove-then-restore):
         with position-dependent tie-breaks the restored member re-enters at
         the tail and every tied flow silently rehomes."""
-        tied = lambda server, fh: 0  # noqa: E731
-        router = ECMPRouter(["a", "b", "c"], weight_fn=tied)
-        before = router.route(packet(sport=9))
-        router.remove_server("a")
-        router.add_server("a")  # now last in the member list
-        assert router.route(packet(sport=9)) == before
+        members = [(0, "a"), (0, "b"), (0, "c")]
+        before = pick(members, 9)
+        members.remove((0, "a"))
+        members.append((0, "a"))  # now last in the member list
+        assert pick(members, 9) == before
 
     def test_minimal_remap_after_membership_churn(self):
         """Rendezvous hashing's contract under churn: removing one server
@@ -210,6 +208,35 @@ class TestDistributedCache:
         cache = make_cache()
         with pytest.raises(ValueError):
             cache.add_node("n0")
+
+    def test_remove_absent_node_raises_typed_error(self):
+        """Bugfix: removing an unknown node leaked a bare ``KeyError``
+        carrying only the name — now typed, with the member list, like
+        ``ECMPRouter.remove_server``."""
+        cache = make_cache()
+        key = ("a.example.com", "/x")
+        home = cache.home_node(key).name
+        with pytest.raises(UnknownNodeError) as exc:
+            cache.remove_node("zz")
+        assert isinstance(exc.value, LookupError)
+        assert "zz" in str(exc.value) and "n0, n1, n2" in str(exc.value)
+        # The failed remove leaves membership and placement untouched.
+        assert list(cache.nodes()) == ["n0", "n1", "n2"]
+        assert cache.home_node(key).name == home
+
+    def test_remove_and_re_add_restores_placement(self):
+        """Seeds are rebuilt only by ``add_node``/``remove_node``: a drained
+        node owns nothing, and re-adding it (now last in the member list,
+        with an empty store) brings every key back to its original home."""
+        cache = make_cache(nodes=4)
+        keys = [("a.example.com", f"/p{i}") for i in range(400)]
+        original = [cache.home_node(key).name for key in keys]
+        assert "n1" in original
+        cache.remove_node("n1")
+        assert "n1" not in {cache.home_node(key).name for key in keys}
+        cache.add_node("n1")
+        assert list(cache.nodes())[-1] == "n1"
+        assert [cache.home_node(key).name for key in keys] == original
 
     def test_no_nodes_raises(self):
         origins = OriginPool()
