@@ -23,7 +23,7 @@ cacheable data — and provides helpers to attach/extract it on
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..netsim.addr import IPAddress, IPv4, IPv6, Prefix
 from .records import DomainName, OPTPseudo, ResourceRecord
@@ -100,6 +100,15 @@ class OptRecord:
             rdata += data
         return self.udp_payload_size, ttl, bytes(rdata)
 
+    def record(self) -> ResourceRecord:
+        """The pseudo-RR that carries this OPT in ADDITIONAL."""
+        class_word, ttl_word, rdata = self.to_wire_fields()
+        return ResourceRecord(
+            DomainName.root(),
+            OPTPseudo(udp_payload_size=class_word, ttl_word=ttl_word, data=rdata),
+            ttl=0,
+        )
+
     @classmethod
     def from_wire_fields(cls, class_word: int, ttl_word: int, rdata: bytes) -> "OptRecord":
         client_subnet = None
@@ -130,15 +139,7 @@ class OptRecord:
 
 def attach_opt(message: Message, opt: OptRecord) -> Message:
     """Return ``message`` with the OPT record appended to ADDITIONAL."""
-    from dataclasses import replace
-
-    class_word, ttl_word, rdata = opt.to_wire_fields()
-    record = ResourceRecord(
-        DomainName.root(),
-        OPTPseudo(udp_payload_size=class_word, ttl_word=ttl_word, data=rdata),
-        ttl=0,
-    )
-    return replace(message, additional=(*message.additional, record))
+    return replace(message, additional=(*message.additional, opt.record()))
 
 
 def extract_opt(message: Message) -> OptRecord | None:

@@ -22,10 +22,11 @@ verify at the wire level.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..netsim.addr import IPAddress
-from .records import DomainName, OPTPseudo, Question, ResourceRecord, RRClass, RRType
+from . import edns
+from .records import NS, DomainName, Question, ResourceRecord, RRClass, RRType
 from .wire import Message, Opcode, Rcode, WireError
 from .zone import Zone
 
@@ -44,6 +45,8 @@ __all__ = [
 MIN_UDP_PAYLOAD = 512
 #: Hard cap either way — TCP frames carry a 16-bit length (RFC 1035 §4.2.2).
 MAX_MESSAGE_SIZE = 65535
+#: Flags byte 2 of an encoded header: the TC bit (RFC 1035 §4.1.1).
+_TC_BIT = 0x02
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,8 +137,6 @@ class ZoneAnswerSource(AnswerSource):
         """A delegation between the zone apex and ``name`` produces a
         referral: non-authoritative NOERROR, NS in authority, glue in
         additional (RFC 1034 §4.3.2 step 3b)."""
-        from .records import NS as NSData
-
         ancestors: list[DomainName] = []
         cursor = name
         while cursor != zone.apex and len(cursor) > len(zone.apex):
@@ -147,7 +148,7 @@ class ZoneAnswerSource(AnswerSource):
                 continue
             glue: list[ResourceRecord] = []
             for ns in ns_set:
-                assert isinstance(ns.rdata, NSData)
+                assert isinstance(ns.rdata, NS)
                 target = ns.rdata.nameserver
                 if target.is_subdomain_of(zone.apex):
                     glue.extend(zone.rrset(target, RRType.A))
@@ -202,10 +203,12 @@ class AuthoritativeServer:
         """Process one datagram; returns response bytes (None = drop).
 
         UDP responses honour the client's advertised EDNS buffer size (512
-        without an OPT): an encoding that exceeds it is trimmed to a
-        well-formed message with TC set, telling the client to retry over
-        the TCP path (``context.transport == "tcp"``), where the only limit
-        is the 16-bit frame length.
+        without a usable OPT, and never less): an encoding that exceeds it
+        goes out as a whole-record prefix with TC set (see
+        :meth:`Message.encode`), telling the client to retry over the TCP
+        path (``context.transport == "tcp"``), where the only limit is the
+        16-bit frame length.  The query's OPT is parsed once, here, for
+        both the response and the budget.
         """
         self.stats.queries += 1
         try:
@@ -213,64 +216,18 @@ class AuthoritativeServer:
         except WireError:
             self.stats.formerr_drops += 1
             return None
-        response = self.handle_query(query, context)
-        wire = response.encode()
-        limit = (
-            self._payload_limit(query) if context.transport == "udp" else MAX_MESSAGE_SIZE
-        )
-        if len(wire) > limit:
+        opt = self._opt_of(query)
+        response = self._respond(query, context, opt)
+        if context.transport != "udp":
+            limit = MAX_MESSAGE_SIZE
+        elif isinstance(opt, edns.OptRecord):
+            limit = max(opt.udp_payload_size, MIN_UDP_PAYLOAD)
+        else:
+            limit = MIN_UDP_PAYLOAD
+        wire = response.encode(limit)
+        if wire[2] & _TC_BIT:
             self.stats.truncations += 1
-            wire = self._truncated(response, limit)
         return wire
-
-    @staticmethod
-    def _payload_limit(query: Message) -> int:
-        """The client's advertised UDP capacity, clamped to [512, 65535]."""
-        from .edns import extract_opt
-
-        try:
-            opt = extract_opt(query)
-        except WireError:
-            return MIN_UDP_PAYLOAD  # bad OPT body: treated as EDNS-less
-        if opt is None:
-            return MIN_UDP_PAYLOAD
-        return min(max(opt.udp_payload_size, MIN_UDP_PAYLOAD), MAX_MESSAGE_SIZE)
-
-    @staticmethod
-    def _truncated(response: Message, limit: int) -> bytes:
-        """Trim ``response`` until it fits ``limit``; always sets TC.
-
-        Records are dropped whole, from the back: additional data first
-        (except the OPT, which the client needs to see the TC context),
-        then authority, then answers — every intermediate candidate is a
-        well-formed message, never a mid-record cut.
-        """
-        from dataclasses import replace as _replace
-
-        opts = [rr for rr in response.additional if isinstance(rr.rdata, OPTPseudo)]
-        extra = [rr for rr in response.additional if not isinstance(rr.rdata, OPTPseudo)]
-        answers = list(response.answers)
-        authority = list(response.authority)
-        truncated = _replace(response, flags=_replace(response.flags, tc=True))
-        while True:
-            truncated = _replace(
-                truncated,
-                answers=tuple(answers),
-                authority=tuple(authority),
-                additional=(*extra, *opts),
-            )
-            wire = truncated.encode()
-            if len(wire) <= limit:
-                return wire
-            if extra:
-                extra.pop()
-            elif authority:
-                authority.pop()
-            elif answers:
-                answers.pop()
-            else:
-                # Header + question + OPT always fit any ≥512 limit.
-                return wire
 
     # -- message-level entry point ---------------------------------------------
 
@@ -281,6 +238,22 @@ class AuthoritativeServer:
         ``client_subnet`` (RFC 7871) and is echoed in the response, as a
         compliant authoritative must.
         """
+        return self._respond(query, context, self._opt_of(query))
+
+    @staticmethod
+    def _opt_of(query: Message) -> edns.OptRecord | WireError | None:
+        """The query's OPT; the error itself when its option TLVs are
+        garbage, so edns parsing never raises out of the serving loop."""
+        try:
+            return edns.extract_opt(query)
+        except WireError as exc:
+            return exc
+
+    def _respond(
+        self, query: Message, context: QueryContext, opt: edns.OptRecord | WireError | None
+    ) -> Message:
+        """The response to ``query``, whose OPT the caller has parsed
+        (:meth:`_opt_of`); the echo OPT goes in as the response is built."""
         if query.flags.qr or not query.questions:
             self.stats.record(None, Rcode.FORMERR)
             return query.response(rcode=Rcode.FORMERR, aa=False)
@@ -289,20 +262,14 @@ class AuthoritativeServer:
             # implemented here — RFC 1035 §4.1.1 NOTIMP, echoing the opcode.
             self.stats.record(None, Rcode.NOTIMP)
             return query.response(rcode=Rcode.NOTIMP, aa=False)
-
-        from dataclasses import replace as _replace
-        from .edns import OptRecord, attach_opt, extract_opt
-
-        try:
-            opt = extract_opt(query)
-        except WireError:
+        if isinstance(opt, WireError):
             # The message framing decoded but the OPT option TLVs are
-            # garbage (RFC 6891 §6.1.3: FORMERR) — never let edns parsing
-            # raise out of the serving loop.
+            # garbage (RFC 6891 §6.1.3: FORMERR).
             self.stats.record(None, Rcode.FORMERR)
             return query.response(rcode=Rcode.FORMERR, aa=False)
-        if opt is not None and opt.client_subnet is not None:
-            context = _replace(context, client_subnet=str(opt.client_subnet.prefix))
+        subnet = None if opt is None else opt.client_subnet
+        if subnet is not None:
+            context = replace(context, client_subnet=str(subnet.prefix))
         question = query.questions[0]
         if question.rrclass not in (RRClass.IN, RRClass.ANY):
             self.stats.record(question.rrtype, Rcode.REFUSED)
@@ -313,21 +280,20 @@ class AuthoritativeServer:
 
         answer = self.source.answer(question, context)
         self.stats.record(question.rrtype, answer.rcode)
-        response = query.response(
+        additional = answer.additional
+        if opt is not None:
+            echo = edns.OptRecord(
+                udp_payload_size=opt.udp_payload_size,
+                client_subnet=(
+                    None if subnet is None
+                    else edns.ClientSubnet(subnet.prefix, scope=subnet.prefix.length)
+                ),
+            )
+            additional = (*additional, echo.record())
+        return query.response(
             answers=answer.records,
             authority=answer.authority,
-            additional=answer.additional,
+            additional=additional,
             rcode=answer.rcode,
             aa=answer.authoritative and answer.rcode in (Rcode.NOERROR, Rcode.NXDOMAIN),
         )
-        if opt is not None:
-            scope = opt.client_subnet.prefix.length if opt.client_subnet else 0
-            echo = OptRecord(
-                udp_payload_size=opt.udp_payload_size,
-                client_subnet=(
-                    None if opt.client_subnet is None
-                    else type(opt.client_subnet)(opt.client_subnet.prefix, scope=scope)
-                ),
-            )
-            response = attach_opt(response, echo)
-        return response

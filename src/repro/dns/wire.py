@@ -38,7 +38,10 @@ from .records import (
 __all__ = ["Opcode", "Rcode", "Flags", "Message", "WireError", "encode_name", "decode_name"]
 
 _HEADER = struct.Struct("!HHHHHH")
-_MAX_UDP_PAYLOAD = 65535
+_QUESTION_FIXED = struct.Struct("!HH")  # QTYPE, QCLASS
+_RR_FIXED = struct.Struct("!HHIH")  # TYPE, CLASS, TTL, RDLENGTH
+_MAX_MESSAGE = 65535  # a TCP frame length is 16 bits; UDP cannot carry more either
+_TC = 1 << 9
 _POINTER_MASK = 0xC0
 
 
@@ -62,6 +65,13 @@ class Rcode(enum.IntEnum):
     REFUSED = 5
 
 
+#: Wire value → member, per lenient field; a constant table, built once.
+_MEMBERS = {
+    enum_cls: {member.value: member for member in enum_cls}
+    for enum_cls in (Opcode, Rcode, RRType, RRClass)
+}
+
+
 def _lenient(enum_cls, value: int):
     """Map a wire value into ``enum_cls``, keeping unknown values as ints.
 
@@ -70,10 +80,7 @@ def _lenient(enum_cls, value: int):
     hash equal to their values, so downstream ``==``/``in`` checks behave
     identically whether the field decoded to a member or a raw int.
     """
-    try:
-        return enum_cls(value)
-    except ValueError:
-        return value
+    return _MEMBERS[enum_cls].get(value, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,6 +271,34 @@ def _decode_rdata(rrtype: RRType, data: bytes, start: int, rdlen: int) -> RData:
     raise WireError(f"cannot decode RDATA for type {rrtype!r}")
 
 
+def _read_rrs(data: bytes, count: int, offset: int) -> tuple[list[ResourceRecord], int]:
+    """Decode ``count`` records of one section; returns (records, next offset)."""
+    records: list[ResourceRecord] = []
+    for _ in range(count):
+        name, offset = decode_name(data, offset)
+        if offset + 10 > len(data):
+            raise WireError("truncated RR fixed fields")
+        rrtype_raw, rrclass_raw, ttl, rdlen = _RR_FIXED.unpack_from(data, offset)
+        offset += 10
+        if offset + rdlen > len(data):
+            raise WireError("RDATA runs past end of message")
+        if rrtype_raw == RRType.OPT:
+            rdata: RData = OPTPseudo(
+                udp_payload_size=rrclass_raw,
+                ttl_word=ttl,
+                data=data[offset:offset + rdlen],
+            )
+            offset += rdlen
+            records.append(ResourceRecord(name, rdata, ttl=0))
+            continue
+        rdata = _decode_rdata(_lenient(RRType, rrtype_raw), data, offset, rdlen)
+        offset += rdlen
+        records.append(
+            ResourceRecord(name, rdata, ttl & 0x7FFFFFFF, _lenient(RRClass, rrclass_raw))
+        )
+    return records, offset
+
+
 @dataclass(frozen=True, slots=True)
 class Message:
     """A complete DNS message with all four sections."""
@@ -318,37 +353,68 @@ class Message:
 
     # -- codec ---------------------------------------------------------------
 
-    def encode(self) -> bytes:
-        out = bytearray()
-        out += _HEADER.pack(
+    def encode(self, limit: int | None = None) -> bytes:
+        """Wire bytes; with ``limit``, at most that many, cut on a record.
+
+        Every record is encoded once, in section order, and the offset it
+        ends at remembered.  Compression pointers only point backwards and
+        a suffix is registered where it is first emitted, so the encoding
+        of a prefix of the records *is* the prefix of the encoding.  An
+        encoding over ``limit`` is therefore cut at the last record
+        boundary that leaves room for a trailing OPT (whose owner is the
+        root, so its bytes do not depend on where they sit), TC is set and
+        the section counts are patched in place.  That drops additional
+        records first, then authority, then answers, each from the back
+        (RFC 2181 §9), and never cuts mid-record.  Header, question and
+        OPT always go out, whatever the limit.
+        """
+        flagword = self.flags.pack()
+        out = bytearray(_HEADER.pack(
             self.id,
-            self.flags.pack(),
+            flagword,
             len(self.questions),
             len(self.answers),
             len(self.authority),
             len(self.additional),
-        )
+        ))
         offsets: dict[tuple[str, ...], int] = {}
         for q in self.questions:
             encode_name(q.name, out, offsets)
-            out += struct.pack("!HH", q.rrtype, q.rrclass)
-        for rr in (*self.answers, *self.authority, *self.additional):
+            out += _QUESTION_FIXED.pack(q.rrtype, q.rrclass)
+        records = (*self.answers, *self.authority, *self.additional)
+        ends = [len(out)]  # ends[i]: where record i starts, ends[i + 1]: where it ends
+        for rr in records:
             encode_name(rr.name, out, offsets)
-            if isinstance(rr.rdata, OPTPseudo):
+            rdata = rr.rdata
+            if isinstance(rdata, OPTPseudo):
                 # RFC 6891: CLASS carries UDP payload size, TTL the
                 # extended flags; RDATA is the raw option TLVs.
-                out += struct.pack(
-                    "!HHIH",
-                    RRType.OPT,
-                    rr.rdata.udp_payload_size,
-                    rr.rdata.ttl_word,
-                    len(rr.rdata.data),
+                out += _RR_FIXED.pack(
+                    RRType.OPT, rdata.udp_payload_size, rdata.ttl_word, len(rdata.data)
                 )
-                out += rr.rdata.data
-                continue
-            out += struct.pack("!HHI", rr.rrtype, rr.rrclass, rr.ttl)
-            _encode_rdata(rr.rdata, out, offsets)
-        if len(out) > _MAX_UDP_PAYLOAD:
+                out += rdata.data
+            else:
+                out += struct.pack("!HHI", rr.rrtype, rr.rrclass, rr.ttl)
+                _encode_rdata(rdata, out, offsets)
+            ends.append(len(out))
+        if limit is not None and len(out) > limit:
+            keep = len(records)
+            opt = b""
+            if records and isinstance(records[-1].rdata, OPTPseudo):
+                keep -= 1
+                opt = out[ends[keep]:]
+            room = limit - len(opt)
+            while keep and ends[keep] > room:
+                keep -= 1
+            del out[ends[keep]:]
+            out += opt
+            answers = min(keep, len(self.answers))
+            authority = min(keep - answers, len(self.authority))
+            _HEADER.pack_into(
+                out, 0, self.id, flagword | _TC, len(self.questions),
+                answers, authority, keep - answers - authority + bool(opt),
+            )
+        if len(out) > _MAX_MESSAGE:
             raise WireError("encoded message exceeds 64 KiB")
         return bytes(out)
 
@@ -380,41 +446,15 @@ class Message:
             name, offset = decode_name(data, offset)
             if offset + 4 > len(data):
                 raise WireError("truncated question")
-            rrtype, rrclass = struct.unpack_from("!HH", data, offset)
+            rrtype, rrclass = _QUESTION_FIXED.unpack_from(data, offset)
             offset += 4
             questions.append(
                 Question(name, _lenient(RRType, rrtype), _lenient(RRClass, rrclass))
             )
 
-        def read_rrs(count: int, offset: int) -> tuple[list[ResourceRecord], int]:
-            records: list[ResourceRecord] = []
-            for _ in range(count):
-                name, offset = decode_name(data, offset)
-                if offset + 10 > len(data):
-                    raise WireError("truncated RR fixed fields")
-                rrtype_raw, rrclass_raw, ttl, rdlen = struct.unpack_from("!HHIH", data, offset)
-                offset += 10
-                if offset + rdlen > len(data):
-                    raise WireError("RDATA runs past end of message")
-                if rrtype_raw == RRType.OPT:
-                    rdata: RData = OPTPseudo(
-                        udp_payload_size=rrclass_raw,
-                        ttl_word=ttl,
-                        data=data[offset:offset + rdlen],
-                    )
-                    offset += rdlen
-                    records.append(ResourceRecord(name, rdata, ttl=0))
-                    continue
-                rdata = _decode_rdata(_lenient(RRType, rrtype_raw), data, offset, rdlen)
-                offset += rdlen
-                records.append(
-                    ResourceRecord(name, rdata, ttl & 0x7FFFFFFF, _lenient(RRClass, rrclass_raw))
-                )
-            return records, offset
-
-        answers, offset = read_rrs(an, offset)
-        authority, offset = read_rrs(ns, offset)
-        additional, offset = read_rrs(ar, offset)
+        answers, offset = _read_rrs(data, an, offset)
+        authority, offset = _read_rrs(data, ns, offset)
+        additional, offset = _read_rrs(data, ar, offset)
         return cls(
             id=qid,
             flags=Flags.unpack(flagword),

@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 COUNTER_FIELDS = (
-    "queries",        # datagrams + framed messages received
+    "queries",        # datagrams received + framed stream messages answered
     "responses",      # responses actually written back
     "truncated",      # UDP responses that went out TC-flagged
     "malformed",      # inputs dropped (undecodable datagram / bad frame)
@@ -36,6 +36,7 @@ COUNTER_FIELDS = (
 LATENCY_BUCKETS_US = (50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000)
 
 _N_FIELDS = len(COUNTER_FIELDS)
+_SLOT = {name: slot for slot, name in enumerate(COUNTER_FIELDS)}
 _N_BUCKETS = len(LATENCY_BUCKETS_US) + 1  # +Inf
 #: int64 slots per worker row: counters, buckets, latency sum, latency count.
 ROW_SLOTS = _N_FIELDS + _N_BUCKETS + 2
@@ -51,7 +52,7 @@ class WorkerCounters:
         self._base = base
 
     def inc(self, field: str, amount: int = 1) -> None:
-        self._array[self._base + COUNTER_FIELDS.index(field)] += amount
+        self._array[self._base + _SLOT[field]] += amount
 
     def observe_us(self, micros: int) -> None:
         """Record one request latency, in whole microseconds."""

@@ -73,10 +73,11 @@ class StreamSession:
     several pipelined queries — both are normal TCP behaviour, and both
     are covered by tests because real resolvers (and ``dig +tcp``) do
     them.  After :attr:`closed` goes true the caller must drop the
-    connection; further ``feed`` calls return ``b""``.
+    connection; further ``feed`` calls return ``b""``.  :attr:`answered`
+    counts the framed messages answered so far, whatever the chunking.
     """
 
-    __slots__ = ("core", "resolver_address", "closed", "_buffer")
+    __slots__ = ("core", "resolver_address", "closed", "answered", "_buffer")
 
     def __init__(
         self, core: ProtocolCore, resolver_address: IPAddress | None = None
@@ -84,6 +85,7 @@ class StreamSession:
         self.core = core
         self.resolver_address = resolver_address
         self.closed = False
+        self.answered = 0
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> bytes:
@@ -109,4 +111,5 @@ class StreamSession:
                 self.closed = True
                 break
             out += len(response).to_bytes(2, "big") + response
+            self.answered += 1
         return bytes(out)

@@ -151,6 +151,9 @@ def _worker_main(
 
     signal.signal(signal.SIGTERM, _on_sigterm)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C belongs to the parent
+    # Forked with SIGTERM blocked (see ``_spawn_generation``): one sent
+    # before the handler above existed is delivered now, and drains.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
     core = ProtocolCore(builder(seed + index), pop=pop)
     selector = selectors.DefaultSelector()
@@ -218,17 +221,21 @@ def _worker_main(
         if not chunk:
             _close_session(conn)
             return
-        counters.inc("queries")
+        before = session.answered
         started = time.perf_counter()  # repro: allow-wall-clock real-socket latency histogram
         out = session.feed(chunk)
         elapsed = time.perf_counter() - started  # repro: allow-wall-clock real-socket latency histogram
+        # Per framed message, not per chunk: one recv may carry several
+        # pipelined queries, or a fraction of one.
+        answered = session.answered - before
+        counters.inc("queries", answered)
         if out:
             try:
                 conn.sendall(out)
             except OSError:
                 _close_session(conn)
                 return
-            counters.inc("responses")
+            counters.inc("responses", answered)
             counters.observe_us(int(elapsed * 1e6))
         if session.closed:
             counters.inc("malformed")
@@ -329,16 +336,24 @@ class WorkerPool:
         self._generation_counter += 1
         generation = self._generation_counter
         procs = []
-        for index, (udp, tcp) in enumerate(pairs):
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(index, udp, tcp, builder, seed, counters.row(index),
-                      self.pop, self.drain_s),
-                name=f"serve-g{generation}-w{index}",
-                daemon=True,
-            )
-            proc.start()
-            procs.append(proc)
+        # A worker inherits this thread's signal mask.  Blocking SIGTERM
+        # across the fork keeps a terminate() that arrives before the
+        # worker has installed its drain handler pending, where the
+        # default action would kill the worker undrained.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            for index, (udp, tcp) in enumerate(pairs):
+                proc = self._ctx.Process(
+                    target=_worker_main,
+                    args=(index, udp, tcp, builder, seed, counters.row(index),
+                          self.pop, self.drain_s),
+                    name=f"serve-g{generation}-w{index}",
+                    daemon=True,
+                )
+                proc.start()
+                procs.append(proc)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         # The children hold the only references that matter now; keeping
         # parent-side copies open would hold the reuseport group hostage
         # after the workers exit.

@@ -14,7 +14,7 @@ from repro.dns.edns import OptRecord, attach_opt
 from repro.dns.records import A, TXT, DomainName, ResourceRecord, RRType
 from repro.dns.resolver import RecursiveResolver, ResolveError
 from repro.dns.server import AuthoritativeServer, QueryContext, ZoneAnswerSource
-from repro.dns.wire import Message
+from repro.dns.wire import Message, WireError
 from repro.dns.zone import Zone
 from repro.netsim.addr import parse_address
 
@@ -93,6 +93,42 @@ class TestServerTruncation:
         response = Message.decode(wire)
         assert not response.flags.tc
         assert response.answers[0].rdata == A(parse_address("192.0.2.1"))
+
+
+class TestRRsetOverSixtyFourKiB:
+    """An RRset no frame can carry: ``handle_wire`` used to encode it whole
+    before looking at the limit and let ``WireError`` out — which, in a
+    worker, ends the process.  It is a TC-flagged whole-record prefix now,
+    on both transports."""
+
+    N_HUGE = 1200  # x ~60-byte TXT records: ~85 KiB encoded
+
+    def _server(self) -> AuthoritativeServer:
+        zone = Zone("example.com")
+        huge = DomainName.from_text("huge.example.com")
+        for i in range(self.N_HUGE):
+            zone.add_record(ResourceRecord(huge, TXT((f"filler-{i:04d}-" + "x" * 44,)), 300))
+        return AuthoritativeServer(ZoneAnswerSource([zone]))
+
+    @pytest.mark.parametrize("context,limit", [(UDP, 512), (TCP, 65535)])
+    def test_answer_is_a_tc_prefix_within_the_limit(self, context, limit):
+        server = self._server()
+        wire = server.handle_wire(Message.query(3, "huge.example.com", RRType.TXT).encode(),
+                                  context)
+        assert len(wire) <= limit
+        response = Message.decode(wire)
+        assert response.flags.tc
+        assert 0 < len(response.answers) < self.N_HUGE
+        assert server.stats.truncations == 1
+
+    def test_encode_without_a_limit_still_refuses(self):
+        # A caller that asked for the whole message gets it or an error.
+        response = self._server().handle_query(
+            Message.query(4, "huge.example.com", RRType.TXT), TCP
+        )
+        assert len(response.answers) == self.N_HUGE
+        with pytest.raises(WireError):
+            response.encode()
 
 
 class TestResolverTcpRetry:

@@ -5,10 +5,12 @@ they are the tier-1 proof that ``repro.serve`` actually serves.  Kept
 small (one or two workers, a handful of queries) so the suite stays fast.
 """
 
+import socket
+
 import pytest
 
 from repro.dns.records import RRType
-from repro.dns.wire import Rcode
+from repro.dns.wire import Message, Rcode
 from repro.obs import MetricsRegistry, watch_serve
 from repro.serve import LoopbackClient, ServeCounters, build_pool, parse_bind
 from repro.serve.app import AGILE_HOSTNAME, BIG_HOSTNAME, BIG_TXT_RECORDS
@@ -140,6 +142,26 @@ class TestPoolServing:
         assert "serve.w1.queries" in collected
 
 
+class TestStreamCounting:
+    def test_pipelined_tcp_queries_count_per_message(self):
+        # Two framed queries in one segment on one live connection: the
+        # worker reads them as one chunk and used to count one query.  A
+        # pool of its own, so no earlier test's last increment is in flight.
+        wires = [Message.query(qid, AGILE_HOSTNAME, RRType.A).encode() for qid in (21, 22)]
+        with build_pool(workers=1, drain_s=2.0) as pool:
+            with socket.create_connection(pool.address, timeout=5.0) as conn:
+                conn.sendall(b"".join(len(wire).to_bytes(2, "big") + wire for wire in wires))
+                stream = conn.makefile("rb")
+                answers = [
+                    Message.decode(stream.read(int.from_bytes(stream.read(2), "big")))
+                    for _ in wires
+                ]
+                assert [answer.id for answer in answers] == [21, 22]
+        # Stopped: the worker has drained, so its row is final.
+        snap = pool.snapshot()
+        assert (snap["queries"], snap["responses"], snap["tcp_sessions"]) == (2, 2, 1)
+
+
 class TestRepointAndDrain:
     def test_repoint_swaps_generations_without_dropping_service(self):
         with build_pool(workers=2, drain_s=2.0) as pool:
@@ -157,6 +179,15 @@ class TestRepointAndDrain:
             # Totals fold the retired generation in rather than resetting.
             assert snap["queries"] > first_gen >= 1
             assert snap["drained"] == 2  # the old generation drained cleanly
+
+    def test_stop_right_after_start_still_drains(self):
+        # SIGTERM used to be able to land between fork and the worker
+        # installing its drain handler, killing the worker undrained
+        # (about one start/stop in three on a two-CPU host).
+        for _ in range(6):
+            pool = build_pool(workers=2, drain_s=2.0).start()
+            pool.stop()
+            assert pool.snapshot()["drained"] == 2
 
     def test_stop_drains_every_worker_and_keeps_totals(self):
         pool = build_pool(workers=2, drain_s=2.0).start()

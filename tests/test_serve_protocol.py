@@ -9,12 +9,15 @@ transport framing is the *only* thing it adds.
 """
 
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
+from repro.dns import edns
 from repro.dns.records import (
     A,
+    TXT,
     DomainName,
     OPTPseudo,
     Question,
@@ -102,6 +105,39 @@ class TestStreamSession:
         (response,) = deframe_all(out)
         assert response.id == 3
         assert session.closed
+
+    def test_answered_counts_framed_messages_not_chunks(self, core):
+        # What the worker adds to its ``queries``/``responses`` counters.
+        pipelined = StreamSession(core)
+        pipelined.feed(b"".join(
+            frame(Message.query(qid, "www.example.com", RRType.A).encode())
+            for qid in (10, 11, 12)
+        ))
+        assert pipelined.answered == 3
+        split = StreamSession(core)
+        for byte in frame(Message.query(2, "www.example.com", RRType.A).encode()):
+            split.feed(bytes([byte]))
+        assert split.answered == 1
+        garbage = StreamSession(core)
+        garbage.feed(frame(b"junk"))
+        assert garbage.answered == 0
+
+    def test_rrset_over_64k_is_answered_not_raised(self):
+        # 1,200 TXT records encode to ~85 KiB, more than a frame can carry:
+        # the session must answer with a TC-flagged prefix and stay open
+        # (an exception here would leave the worker's loop and end it).
+        zone = Zone("example.com")
+        huge = DomainName.from_text("huge.example.com")
+        for i in range(1200):
+            zone.add_record(ResourceRecord(huge, TXT((f"filler-{i:04d}-" + "x" * 44,)), 300))
+        core = ProtocolCore(AuthoritativeServer(ZoneAnswerSource([zone])))
+        query = Message.query(4, "huge.example.com", RRType.TXT).encode()
+        session = StreamSession(core)
+        (response,) = deframe_all(session.feed(frame(query)))
+        assert response.flags.tc and 0 < len(response.answers) < 1200
+        assert not session.closed and session.answered == 1
+        datagram = Message.decode(core.datagram(query))
+        assert datagram.flags.tc and 0 < len(datagram.answers) < len(response.answers)
 
 
 class TestMalformedDatagrams:
@@ -253,3 +289,68 @@ class TestDifferentialWireVsSim:
             sim.handle_wire(query.encode(), context)
         assert wire_core.stats.by_rcode == sim.stats.by_rcode
         assert wire_core.stats.by_type == sim.stats.by_type
+
+
+class TestCallCounts:
+    """The ledger's exact counters (``benchmarks/e2e``: ``dns.wire`` and
+    ``dns.edns`` ``calls_per_op``), pinned where tier 1 sees them move.
+
+    Counted the way ``benchmarks/e2e/trace.py`` counts: by swapping the
+    attribute on the module or class, so a request path that binds
+    ``extract_opt`` at import time — and so escapes the ledger — fails
+    here too.
+    """
+
+    TARGETS = ((Message, "decode"), (Message, "encode"),
+               (edns, "extract_opt"), (edns, "attach_opt"))
+
+    @classmethod
+    @contextmanager
+    def _counted(cls):
+        calls = dict.fromkeys((attr for _, attr in cls.TARGETS), 0)
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, attr in cls.TARGETS:
+                raw = vars(owner)[attr]
+                bound = isinstance(raw, classmethod)
+
+                def counting(*args, _fn=raw.__func__ if bound else raw, _attr=attr, **kwargs):
+                    calls[_attr] += 1
+                    return _fn(*args, **kwargs)
+
+                patch.setattr(owner, attr, classmethod(counting) if bound else counting)
+            yield calls
+
+    @staticmethod
+    def _query(name: str, rrtype: RRType) -> bytes:
+        return edns.attach_opt(
+            Message.query(1, name, rrtype), edns.OptRecord(udp_payload_size=1232)
+        ).encode()
+
+    def test_edns_a_query_costs_one_of_each(self):
+        core = ProtocolCore(build_server())
+        query = self._query(AGILE_HOSTNAME, RRType.A)
+        with self._counted() as calls:
+            assert core.datagram(query)[3] & 0x0F == Rcode.NOERROR
+        assert calls == {"decode": 1, "encode": 1, "extract_opt": 1, "attach_opt": 0}
+
+    def test_truncated_answer_is_encoded_once_per_transport(self):
+        core = ProtocolCore(build_server())
+        query = self._query(BIG_HOSTNAME, RRType.TXT)
+        with self._counted() as calls:
+            assert core.datagram(query)[2] & 0x02  # TC at the 1232 budget
+            assert calls["encode"] == 1
+            framed = StreamSession(core).feed(frame(query))
+        assert calls == {"decode": 2, "encode": 2, "extract_opt": 2, "attach_opt": 0}
+        assert len(deframe_all(framed)[0].answers) == BIG_TXT_RECORDS
+
+    def test_garbage_opt_is_parsed_once(self):
+        core = ProtocolCore(build_server())
+        opt = ResourceRecord(
+            DomainName.root(),
+            OPTPseudo(udp_payload_size=1232, ttl_word=0, data=b"\x00\x08\x00\x10\x00\x01"),
+            ttl=0,
+        )
+        query = replace(Message.query(5, AGILE_HOSTNAME, RRType.A), additional=(opt,)).encode()
+        with self._counted() as calls:
+            assert core.datagram(query)[3] & 0x0F == Rcode.FORMERR
+        assert calls == {"decode": 1, "encode": 1, "extract_opt": 1, "attach_opt": 0}
