@@ -5,7 +5,15 @@ policy-randomized answering sustains the same order of throughput as
 conventional zone serving in the same harness (the randomization is not
 the bottleneck), and comfortably exceeds "1000s per second" even in pure
 Python through the full wire codec.
+
+The policy path is also timed behind 16- and 256-rule tables (decoys
+first, the matching rule last): Figure 3b's "match policy" step is an
+index lookup, so the rate must not fall as the table grows.
+``table256_vs_table1`` is the gated form of that.
 """
+
+import statistics
+import time
 
 import pytest
 
@@ -19,6 +27,8 @@ from repro.experiments.dnsqps import (
 
 N_QUERIES = 4_000
 N_HOSTNAMES = 5_000
+TABLE_SIZES = (1, 16, 256)
+TABLE_ROUNDS = 7
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +41,40 @@ def rates():
     return {}
 
 
+@pytest.fixture(scope="module")
+def ratios():
+    return {}
+
+
 def test_policy_random_answering_rate(benchmark, queries, rates):
     setup = build_policy_server(num_hostnames=N_HOSTNAMES)
     ok = benchmark(answer_all, setup, queries)
     assert ok == N_QUERIES
     rates["policy"] = N_QUERIES / benchmark.stats["mean"]
+
+
+def test_policy_rate_is_flat_in_table_size(benchmark, queries, rates, ratios):
+    """One round times every table size back to back, and the ratio is the
+    median of the per-round ratios: between two separately benchmarked arms
+    a shared host drifts by more than the effect being gated."""
+    setups = [build_policy_server(num_hostnames=N_HOSTNAMES, rules=n) for n in TABLE_SIZES]
+    seconds: dict[int, list[float]] = {n: [] for n in TABLE_SIZES}
+
+    def one_round():
+        for rules, setup in zip(TABLE_SIZES, setups):
+            start = time.perf_counter()
+            assert answer_all(setup, queries) == N_QUERIES
+            seconds[rules].append(time.perf_counter() - start)
+
+    one_round()  # warm-up: fills the index cells and the allocator
+    for samples in seconds.values():
+        samples.clear()
+    benchmark.pedantic(one_round, rounds=TABLE_ROUNDS, iterations=1)
+    for rules in TABLE_SIZES:
+        rates[f"policy, table of {rules}"] = N_QUERIES / statistics.median(seconds[rules])
+    ratios["table256_vs_table1"] = statistics.median(
+        one / many for one, many in zip(seconds[1], seconds[256])
+    )
 
 
 def test_zone_static_answering_rate(benchmark, queries, rates):
@@ -45,8 +84,8 @@ def test_zone_static_answering_rate(benchmark, queries, rates):
     rates["zone"] = N_QUERIES / benchmark.stats["mean"]
 
 
-def test_rates_comparable_and_sufficient(benchmark, rates, save_table, save_bench):
-    assert {"policy", "zone"} <= set(rates)
+def test_rates_comparable_and_sufficient(benchmark, rates, ratios, save_table, save_bench):
+    assert {"policy", "zone", *(f"policy, table of {n}" for n in TABLE_SIZES)} <= set(rates)
     table = TextTable(
         "§4.2 authoritative answering rate (wire-level, pure Python; "
         "deployment served 5-6K qps)",
@@ -64,5 +103,7 @@ def test_rates_comparable_and_sufficient(benchmark, rates, save_table, save_benc
         policy_qps=rates["policy"],
         zone_qps=rates["zone"],
         policy_vs_zone=rates["policy"] / rates["zone"],
+        **{f"table{n}_qps": rates[f"policy, table of {n}"] for n in TABLE_SIZES},
+        **ratios,
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

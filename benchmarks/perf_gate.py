@@ -14,6 +14,9 @@ those:
 
 ``dns_qps``
     ``policy_vs_zone`` — randomized answering / static zone serving
+    ``table256_vs_table1`` — the same policy path behind a 256-rule table /
+                         behind one rule (first match is an index lookup,
+                         so the rate must be flat in table size)
 
 ``flow_hash`` / ``flow_resolve`` / ``flow_connect`` / ``flow_dispatch`` /
 ``flow_serve`` / ``flow_end_to_end``
@@ -57,7 +60,11 @@ BENCH_DIR = pathlib.Path(__file__).parent
 #: actual claim being defended).
 GATED: dict[str, dict[str, dict[str, float]]] = {
     "sklookup_perf": {"speedup": {"floor": 3.0}, "batch_speedup": {"floor": 3.0}},
-    "dns_qps": {"policy_vs_zone": {"floor": 0.5, "tolerance": 0.45}},
+    # table256_vs_table1: 1.0 when first match is flat in table size (0.97-1.05
+    # over five runs; the arms are interleaved round by round, so host drift
+    # mostly cancels); the ordered walk it replaced read 0.19.
+    "dns_qps": {"policy_vs_zone": {"floor": 0.5, "tolerance": 0.45},
+                "table256_vs_table1": {"floor": 0.7, "tolerance": 0.30}},
     # Flow-engine stage ratios (batched / scalar, measured back to back on
     # one machine).  Stages whose per-flow work batching cannot amortise
     # sit close to 1.0 — warm-cache resolve; serve, which is bound by the

@@ -24,13 +24,18 @@ Checks:
 * ``CP008 unreachable-address`` — sampled end-to-end reachability: every
   address a policy can mint must route to a PoP and dispatch to a
   listening socket (live deployment), or be covered by announcement +
-  redirect rules (config mode).
+  redirect rules (config mode);
+* ``CP009 shadowed-policy``    — a policy that owns no cell of the engine's
+  first-match index (:class:`~repro.core.policy.PolicyIndex`): earlier
+  policies answer everything it matches, or its match can never hold.  The
+  policy-table analogue of ``SK002``.
 """
 
 from __future__ import annotations
 
 import random
 
+from ..core.policy import Policy, PolicyIndex
 from ..core.pool import AddressPool
 from ..netsim.addr import IPAddress, Prefix
 from ..netsim.packet import FiveTuple, Packet, Protocol
@@ -79,6 +84,7 @@ class ControlPlaneChecker(Checker):
             findings.extend(self._check_coverage(ctx, policy.pool, f"policy:{policy.name}"))
             findings.extend(self._check_ttl(ctx, policy))
         findings.extend(self._check_overlaps(ctx))
+        findings.extend(self._check_shadowed(ctx))
         for pool in ctx.standby_pools:
             where = f"standby:{pool.name}"
             findings.extend(self._check_coverage(ctx, pool, where))
@@ -127,6 +133,26 @@ class ControlPlaneChecker(Checker):
                         "give each policy disjoint space, or share one pool object",
                     ))
         return findings
+
+    # -- CP009: policies the first-match order leaves nothing to ------------------------
+
+    def _check_shadowed(self, ctx: CheckContext) -> list[Finding]:
+        # Rebuilt as Policy objects so the verdict is the engine's own index's.
+        table = sorted(
+            (Policy(p.name, p.pool, match=p.match, priority=p.priority) for p in ctx.policies),
+            key=lambda policy: policy.priority,
+        )
+        owners = PolicyIndex(table).owners()
+        return [
+            Finding(
+                "CP009", "shadowed-policy", Severity.ERROR,
+                "can never answer: earlier policies take every attribute "
+                "combination it matches, or its match (or pool family) can never hold",
+                f"policy:{policy.name}",
+                "remove the dead policy, or reorder/narrow the earlier one",
+            )
+            for policy in table if policy not in owners
+        ]
 
     # -- CP005/CP006: TTL sanity ------------------------------------------------------
 

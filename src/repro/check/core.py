@@ -11,6 +11,7 @@ abort (strict mode, like an attach-time ``-EINVAL``) or are logged.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..core.pool import AddressPool
@@ -88,11 +89,13 @@ class PolicyInfo:
     pool: AddressPool
     ttl: int
     priority: int = 100
+    #: attribute -> acceptable values, as on the live policy (CP009).
+    match: Mapping[str, frozenset] = field(default_factory=dict)
 
     @classmethod
     def from_policy(cls, policy) -> "PolicyInfo":
         return cls(name=policy.name, pool=policy.pool, ttl=policy.ttl,
-                   priority=policy.priority)
+                   priority=policy.priority, match=policy.match)
 
 
 @dataclass(frozen=True, slots=True)

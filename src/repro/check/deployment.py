@@ -11,6 +11,8 @@ verifier rejecting a program at attach time rather than at run time.
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..core.pool import AddressPool
 from ..netsim.addr import Prefix
 from .controlplane import ControlPlaneChecker
@@ -106,9 +108,7 @@ def precheck_rebind(
     replaced = False
     for i, info in enumerate(ctx.policies):
         if info.name == policy_name:
-            ctx.policies[i] = PolicyInfo(
-                name=info.name, pool=new_pool, ttl=info.ttl, priority=info.priority,
-            )
+            ctx.policies[i] = dataclasses.replace(info, pool=new_pool)
             replaced = True
     if not replaced:
         raise KeyError(f"no policy named {policy_name!r} to precheck")

@@ -16,7 +16,7 @@ the engine behind a :class:`PolicyAnswerSource`, and plug that into any
 
 from .agility import AgilityController, AgilityOperation
 from .authoritative import PolicyAnswerLog, PolicyAnswerSource
-from .policy import Policy, PolicyAttributes, PolicyDecision, PolicyEngine
+from .policy import Policy, PolicyAttributes, PolicyDecision, PolicyEngine, PolicyIndex
 from .pool import AddressPool, PoolError
 from .spec import (
     AttributeDomain,
@@ -53,6 +53,7 @@ __all__ = [
     "PolicyAttributes",
     "PolicyDecision",
     "PolicyEngine",
+    "PolicyIndex",
     "AddressPool",
     "PoolError",
     "HashedAssignment",

@@ -19,7 +19,6 @@ is what let the deployment run one global codebase.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -117,8 +116,8 @@ class PolicyAnswerSource(AnswerSource):
     def answer_batch(
         self, questions: Sequence[Question], context: QueryContext
     ) -> list[Answer]:
-        """Batched :meth:`answer`: one policy-engine batch call, log
-        counters folded once.
+        """Batched :meth:`answer`: one policy-engine batch call; each
+        answer is built and logged by the helpers the scalar path uses.
 
         A traced source stays on the per-question path — spans are a
         per-query artefact, and batching them would change the recorded
@@ -157,37 +156,13 @@ class PolicyAnswerSource(AnswerSource):
         decisions: dict[int, PolicyDecision | None] = dict(
             zip(eligible, self.engine.evaluate_batch(attrs_list))
         )
-        fallback = self.fallback
-        policy_answers = fallback_answers = refused = 0
-        by_policy: Counter[str] = Counter()
         answers: list[Answer] = []
-        append = answers.append
-        try:
-            for i, question in enumerate(questions):
-                decision = decisions.get(i)
-                if decision is not None:
-                    rdata = (
-                        A(decision.address)
-                        if question.rrtype == RRType.A
-                        else AAAA(decision.address)
-                    )
-                    record = ResourceRecord(question.name, rdata, ttl=decision.ttl)
-                    policy_answers += 1
-                    by_policy[decision.policy.name] += 1
-                    append(Answer(Rcode.NOERROR, records=(record,)))
-                elif fallback is None:
-                    refused += 1
-                    append(Answer(Rcode.REFUSED))
-                else:
-                    fallback_answers += 1
-                    append(fallback.answer(question, context))
-        finally:
-            log = self.log
-            log.policy_answers += policy_answers
-            log.fallback_answers += fallback_answers
-            log.refused += refused
-            for name, n in by_policy.items():
-                log.by_policy[name] = log.by_policy.get(name, 0) + n
+        for i, question in enumerate(questions):
+            decision = decisions.get(i)
+            if decision is not None:
+                answers.append(self._policy_answer(question, decision))
+            else:
+                answers.append(self._fall_through(question, context))
         return answers
 
     # -- internals -------------------------------------------------------------

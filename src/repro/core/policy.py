@@ -5,7 +5,10 @@ location, account type → Use: a.b.c.d/xx".  A :class:`Policy` is a set of
 attribute constraints plus an address pool, a selection strategy, and a
 TTL.  The :class:`PolicyEngine` evaluates policies in priority order and
 returns the first match; queries matching no policy "are resolved as
-normal" (§4.3) by whatever fallback the caller wires in.
+normal" (§4.3) by whatever fallback the caller wires in.  "First match" is
+answered from a :class:`PolicyIndex` — the ordered table lowered to one
+cell per class of attribute values — so its cost does not grow with the
+table (DESIGN.md §15).
 
 Attribute constraints are value sets per key — deliberately not arbitrary
 code: §4.3 leaves "safe and verifiable policy expression" as future work,
@@ -15,16 +18,22 @@ actually used (datacenter ∈ {…} ∧ account_type ∈ {…}).
 
 from __future__ import annotations
 
+import itertools
 import random
-from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..netsim.addr import IPAddress
 from .pool import AddressPool
-from .strategies import RandomSelection, SelectionContext, SelectionStrategy
+from .strategies import RandomSelection, SelectionStrategy
 
-__all__ = ["PolicyAttributes", "Policy", "PolicyEngine", "PolicyDecision"]
+__all__ = ["PolicyAttributes", "Policy", "PolicyIndex", "PolicyEngine", "PolicyDecision"]
+
+#: The attributes a policy may constrain, in index-key order.
+MATCH_KEYS = ("family", "pop", "account_type")
+#: Stands for every presented value that no policy names.
+_OTHER = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,47 +67,51 @@ class Policy:
 
     ``match`` maps attribute names (``pop``, ``account_type``, ``family``)
     to the set of acceptable values; absent keys are unconstrained.  Lower
-    ``priority`` evaluates first.
+    ``priority`` evaluates first.  ``match`` is frozen at construction (a
+    read-only mapping of frozensets): a :class:`PolicyIndex` built over the
+    policy must not go stale behind a mutated set.
     """
 
     def __init__(
         self,
         name: str,
         pool: AddressPool,
-        match: dict[str, set] | None = None,
+        match: dict[str, Iterable] | None = None,
         strategy: SelectionStrategy | None = None,
         ttl: int = 30,
         priority: int = 100,
     ) -> None:
         if ttl < 0:
             raise ValueError("TTL must be non-negative")
+        match = match or {}
+        unknown = set(match) - set(MATCH_KEYS)
+        if unknown:
+            raise ValueError(f"policy {name!r}: unknown attribute keys {sorted(unknown)}")
+        for key, values in match.items():
+            # set("lhr") is {"l", "h", "r"}: a bare string is a typo for ["lhr"].
+            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+                raise ValueError(
+                    f"policy {name!r}: match[{key!r}] must be a collection of "
+                    f"values, got {values!r}"
+                )
         self.name = name
         self.pool = pool
-        self.match = {k: set(v) for k, v in (match or {}).items()}
+        self.match = MappingProxyType({k: frozenset(v) for k, v in match.items()})
         self.strategy = strategy or RandomSelection()
         self.ttl = ttl
         self.priority = priority
         self.hits = 0
-        _known = {"pop", "account_type", "family"}
-        unknown = set(self.match) - _known
-        if unknown:
-            raise ValueError(f"policy {name!r}: unknown attribute keys {sorted(unknown)}")
 
     def matches(self, attrs: PolicyAttributes) -> bool:
         mapping = attrs.as_mapping()
         return all(mapping.get(key) in allowed for key, allowed in self.match.items())
 
     def select(self, attrs: PolicyAttributes, rng: random.Random) -> IPAddress:
-        ctx = SelectionContext(
-            hostname=attrs.hostname,
-            pop=attrs.pop,
-            account_type=attrs.account_type,
-            client_subnet=attrs.client_subnet,
-        )
-        return self.strategy.select(self.pool, ctx, rng)
+        # ``attrs`` carries every SelectionContext field; no copy per query.
+        return self.strategy.select(self.pool, attrs, rng)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Policy({self.name!r}, match={self.match}, pool={self.pool.name!r})"
+        return f"Policy({self.name!r}, match={dict(self.match)}, pool={self.pool.name!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,6 +123,72 @@ class PolicyDecision:
     ttl: int
 
 
+class PolicyIndex:
+    """An ordered policy table lowered to a first-match decision index.
+
+    Every matched attribute splits its values into *classes*: one per value
+    some policy names (in a ``match`` set, or as its pool's family) and one
+    for all the rest.  Attribute tuples with the same class triple pass and
+    fail exactly the same family and ``value in allowed`` tests, so the
+    ordered walk gives them the same first match, and a *cell* keyed on the
+    triple remembers it.  Cells are filled by :meth:`walk` on first use;
+    there is at most one per class triple however many distinct values
+    queries present.
+
+    A cell holds the :class:`Policy` object and nothing read from it — pool,
+    active set, TTL and strategy are looked up per decision — so the index
+    stays valid until the table itself changes (``policies``, their ``match``
+    sets, or a pool's *family*; :class:`PolicyEngine` drops it on ``add`` /
+    ``remove``, and ``swap_pool`` refuses a family change).
+    """
+
+    def __init__(self, policies: Sequence[Policy]) -> None:
+        self.policies = policies
+        named: dict[str, set] = {key: set() for key in MATCH_KEYS}
+        for policy in policies:
+            named["family"].add(policy.pool.family)
+            for key, allowed in policy.match.items():
+                named[key] |= allowed
+        self._families, self._pops, self._accounts = (named[key] for key in MATCH_KEYS)
+        self._cells: dict[tuple, Policy | None] = {}
+
+    def __len__(self) -> int:
+        """Cells filled so far."""
+        return len(self._cells)
+
+    def first_match(self, attrs: PolicyAttributes) -> Policy | None:
+        family, pop, account = attrs.family, attrs.pop, attrs.account_type
+        key = (
+            family if family in self._families else _OTHER,
+            pop if pop in self._pops else _OTHER,
+            account if account in self._accounts else _OTHER,
+        )
+        try:
+            return self._cells[key]
+        except KeyError:
+            cell = self._cells[key] = self.walk(attrs)
+            return cell
+
+    def walk(self, attrs: PolicyAttributes) -> Policy | None:
+        """The table's meaning: the first policy, in order, whose pool
+        family and match sets accept ``attrs``.  Fills cells; never runs
+        for a class that has one."""
+        for policy in self.policies:
+            if policy.pool.family == attrs.family and policy.matches(attrs):
+                return policy
+        return None
+
+    def owners(self) -> set[Policy]:
+        """Fill every cell of the class space and return the policies that
+        own one.  The classes partition all inputs, so a policy outside the
+        result can never answer.  (A class triple stands for itself: the
+        "other" marker is a value no policy names.)"""
+        classes = ((*named, _OTHER) for named in (self._families, self._pops, self._accounts))
+        for family, pop, account in itertools.product(*classes):
+            self.first_match(PolicyAttributes(pop=pop, account_type=account, family=family))
+        return {policy for policy in self._cells.values() if policy is not None}
+
+
 class PolicyEngine:
     """Ordered policy evaluation with runtime add/remove.
 
@@ -119,6 +198,9 @@ class PolicyEngine:
 
     def __init__(self, rng: random.Random | None = None) -> None:
         self._policies: list[Policy] = []
+        self._by_name: dict[str, Policy] = {}
+        #: Compiled from ``_policies`` by the first query after a change.
+        self._index: PolicyIndex | None = None
         self._rng = rng or random.Random(0xA91)
         self.evaluations = 0
         self.matches = 0
@@ -126,22 +208,25 @@ class PolicyEngine:
     # -- management ----------------------------------------------------------
 
     def add(self, policy: Policy) -> None:
-        if any(p.name == policy.name for p in self._policies):
+        if policy.name in self._by_name:
             raise ValueError(f"duplicate policy name {policy.name!r}")
+        self._by_name[policy.name] = policy
         self._policies.append(policy)
         self._policies.sort(key=lambda p: p.priority)
+        self._index = None
 
     def remove(self, name: str) -> Policy:
-        for i, policy in enumerate(self._policies):
-            if policy.name == name:
-                return self._policies.pop(i)
-        raise KeyError(f"no policy named {name!r}")
+        policy = self.get(name)
+        del self._by_name[name]
+        self._policies.remove(policy)
+        self._index = None
+        return policy
 
     def get(self, name: str) -> Policy:
-        for policy in self._policies:
-            if policy.name == name:
-                return policy
-        raise KeyError(f"no policy named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no policy named {name!r}") from None
 
     def policies(self) -> list[Policy]:
         return list(self._policies)
@@ -161,39 +246,27 @@ class PolicyEngine:
     def evaluate_batch(
         self, batch: Sequence[PolicyAttributes]
     ) -> list[PolicyDecision | None]:
-        """Evaluate many attribute tuples; counters folded once per batch.
+        """Evaluate many attribute tuples against the compiled table.
 
         Selection draws from the engine RNG in item order, so a batch
-        produces the same address sequence as scalar calls in a loop.  The
-        fold runs even if a strategy raises partway: the in-flight item has
-        already been counted (evaluations, and hits/matches when it
-        matched), exactly as the scalar path counts before selecting.
+        produces the same address sequence as scalar calls in a loop.  Each
+        item is counted (evaluations, and hits/matches when it matched)
+        before its strategy runs, so a strategy raising partway leaves the
+        in-flight item counted and the rest not.
         """
-        policies = self._policies
+        index = self._index
+        if index is None:
+            index = self._index = PolicyIndex(tuple(self._policies))
+        first_match = index.first_match
         rng = self._rng
-        evaluations = matches = 0
-        hit_counts: Counter[Policy] = Counter()
         decisions: list[PolicyDecision | None] = []
-        append = decisions.append
-        try:
-            for attrs in batch:
-                evaluations += 1
-                decision = None
-                for policy in policies:
-                    if policy.pool.family != attrs.family:
-                        continue
-                    if policy.matches(attrs):
-                        hit_counts[policy] += 1
-                        matches += 1
-                        address = policy.select(attrs, rng)
-                        decision = PolicyDecision(
-                            policy=policy, address=address, ttl=policy.ttl
-                        )
-                        break
-                append(decision)
-        finally:
-            self.evaluations += evaluations
-            self.matches += matches
-            for policy, n in hit_counts.items():
-                policy.hits += n
+        for attrs in batch:
+            self.evaluations += 1
+            policy = first_match(attrs)
+            if policy is None:
+                decisions.append(None)
+                continue
+            policy.hits += 1
+            self.matches += 1
+            decisions.append(PolicyDecision(policy, policy.select(attrs, rng), policy.ttl))
         return decisions

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from ..netsim.addr import IPv4, IPv6, Prefix, parse_prefix
-from .policy import Policy, PolicyAttributes, PolicyEngine
+from .policy import MATCH_KEYS, Policy, PolicyAttributes, PolicyEngine, PolicyIndex
 from .pool import AddressPool
 from .strategies import (
     HashedAssignment,
@@ -51,8 +51,6 @@ __all__ = [
     "verify_policy_set",
     "compile_and_verify",
 ]
-
-_MATCH_KEYS = {"pop", "account_type", "family"}
 
 
 class PolicySpecError(ValueError):
@@ -108,6 +106,19 @@ def _build_strategy(name: str, params: dict) -> SelectionStrategy:
         return factory(params)
     except KeyError as exc:
         raise PolicySpecError(f"strategy {name!r} missing parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PolicySpecError(f"strategy {name!r}: {exc}") from exc
+
+
+_JSON_KINDS = {dict: "an object", int: "an integer", list: "a list"}
+
+
+def _field(spec: dict, key: str, kind: type, default: object, where: str) -> object:
+    """``spec[key]`` if it has its JSON type — specs are outside input."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise PolicySpecError(f"{where}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def compile_policy(spec: dict) -> Policy:
@@ -124,17 +135,23 @@ def compile_policy(spec: dict) -> Policy:
           "priority": 100,                  # optional
         }
     """
+    if not isinstance(spec, dict):
+        raise PolicySpecError(f"a policy spec must be an object, got {spec!r}")
     unknown = set(spec) - {"name", "pool", "match", "strategy", "params", "ttl", "priority"}
     if unknown:
         raise PolicySpecError(f"unknown spec keys: {sorted(unknown)}")
+    for key in ("name", "pool"):
+        if key not in spec:
+            raise PolicySpecError(f"spec missing required key {key!r}")
+    name = spec["name"]
+    where = f"policy {name!r}"
+    pool_spec = _field(spec, "pool", dict, None, where)
     try:
-        name = spec["name"]
-        pool_spec = spec["pool"]
         advertised = parse_prefix(pool_spec["advertised"])
     except KeyError as exc:
         raise PolicySpecError(f"spec missing required key {exc}") from exc
     except ValueError as exc:
-        raise PolicySpecError(f"bad prefix in policy {spec.get('name')!r}: {exc}") from exc
+        raise PolicySpecError(f"bad prefix in {where}: {exc}") from exc
 
     active = pool_spec.get("active")
     try:
@@ -144,26 +161,29 @@ def compile_policy(spec: dict) -> Policy:
             name=pool_spec.get("name", f"{name}-pool"),
         )
     except ValueError as exc:
-        raise PolicySpecError(f"policy {name!r}: {exc}") from exc
+        raise PolicySpecError(f"{where}: {exc}") from exc
 
-    raw_match = spec.get("match", {})
-    bad_keys = set(raw_match) - _MATCH_KEYS
+    match = _field(spec, "match", dict, {}, where)
+    bad_keys = set(match) - set(MATCH_KEYS)
     if bad_keys:
-        raise PolicySpecError(f"policy {name!r}: unknown match keys {sorted(bad_keys)}")
-    match = {key: set(values) for key, values in raw_match.items()}
+        raise PolicySpecError(f"{where}: unknown match keys {sorted(bad_keys)}")
+    for key in match:
+        # A bare "lhr" would become the set {"l", "h", "r"}.
+        values = _field(match, key, list, None, f"{where}: match")
+        if any(isinstance(value, (list, dict)) for value in values):
+            raise PolicySpecError(f"{where}: match: {key} values must be scalars, got {values!r}")
 
-    strategy = _build_strategy(spec.get("strategy", "random"), spec.get("params", {}))
+    strategy = _build_strategy(
+        spec.get("strategy", "random"), _field(spec, "params", dict, {}, where)
+    )
+    ttl = _field(spec, "ttl", int, 30, where)
+    priority = _field(spec, "priority", int, 100, where)
     try:
         return Policy(
-            name=name,
-            pool=pool,
-            match=match,
-            strategy=strategy,
-            ttl=int(spec.get("ttl", 30)),
-            priority=int(spec.get("priority", 100)),
+            name=name, pool=pool, match=match, strategy=strategy, ttl=ttl, priority=priority
         )
     except ValueError as exc:
-        raise PolicySpecError(f"policy {name!r}: {exc}") from exc
+        raise PolicySpecError(f"{where}: {exc}") from exc
 
 
 def verify_policy_set(
@@ -206,24 +226,21 @@ def verify_policy_set(
                 f"family in {sorted(declared_family)}",
             ))
 
-    # Shadowing & coverage by exact enumeration over the finite domain.
-    ordered = sorted(policies, key=lambda p: p.priority)
-    first_match: dict[str, int] = {p.name: 0 for p in ordered}
+    # Shadowing & coverage by exact enumeration over the finite domain,
+    # through the same index the engine answers from.
+    index = PolicyIndex(sorted(policies, key=lambda p: p.priority))
+    reached: set[str] = set()
     uncovered = 0
     total = 0
     for attrs in domain.combinations():
         total += 1
-        hit = None
-        for policy in ordered:
-            if policy.pool.family == attrs.family and policy.matches(attrs):
-                hit = policy
-                break
+        hit = index.first_match(attrs)
         if hit is None:
             uncovered += 1
         else:
-            first_match[hit.name] += 1
-    for policy in ordered:
-        if first_match[policy.name] == 0:
+            reached.add(hit.name)
+    for policy in index.policies:
+        if policy.name not in reached:
             issues.append(VerificationIssue(
                 "error", policy.name, "shadowed",
                 "no attribute combination reaches this policy "

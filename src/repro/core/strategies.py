@@ -41,7 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class SelectionContext:
-    """Query-time facts a strategy may consult."""
+    """Query-time facts a strategy may consult.
+
+    The engine hands a strategy the query's
+    :class:`~repro.core.policy.PolicyAttributes` as ``ctx`` — it has these
+    four fields — rather than copying them per query; construct this class
+    to drive a strategy directly."""
 
     hostname: str
     pop: str

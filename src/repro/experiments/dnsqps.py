@@ -29,6 +29,7 @@ from ..netsim.addr import parse_prefix
 __all__ = ["QPSSetup", "build_policy_server", "build_zone_server", "make_queries", "answer_all"]
 
 POOL = parse_prefix("192.0.0.0/20")
+DECOY_POOL = parse_prefix("198.51.100.0/24")
 CONTEXT = QueryContext(pop="dc1")
 
 
@@ -42,12 +43,23 @@ def _hostnames(n: int) -> list[str]:
     return [f"site{i:06d}.qps.example" for i in range(n)]
 
 
-def build_policy_server(num_hostnames: int = 10_000, seed: int = 1) -> QPSSetup:
-    """The agile path: policy match + per-query random generation."""
+def build_policy_server(num_hostnames: int = 10_000, seed: int = 1, rules: int = 1) -> QPSSetup:
+    """The agile path: policy match + per-query random generation.
+
+    ``rules`` sizes the policy table: ``rules - 1`` (pop, account type)
+    decoys for other PoPs come first and the rule that matches comes last,
+    so a first-match cost that grows with the table shows in the rate."""
     registry = CustomerRegistry()
     registry.add(Customer("all", AccountType.FREE, set(_hostnames(num_hostnames))))
     engine = PolicyEngine(random.Random(seed))
-    engine.add(Policy("qps", AddressPool(POOL), ttl=30))
+    accounts = [account.value for account in AccountType]
+    for i in range(rules - 1):
+        engine.add(Policy(
+            f"decoy-{i:03d}", AddressPool(DECOY_POOL), ttl=30, priority=i,
+            match={"pop": {f"pop-{i // len(accounts):02d}"},
+                   "account_type": {accounts[i % len(accounts)]}},
+        ))
+    engine.add(Policy("qps", AddressPool(POOL), ttl=30, priority=rules))
     return QPSSetup("policy-random", AuthoritativeServer(PolicyAnswerSource(engine, registry)))
 
 

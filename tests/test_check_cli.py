@@ -45,6 +45,28 @@ class TestExitCodes:
         output, code = run_check(config=str(bad))
         assert code == 2 and "advertized" in output
 
+    @pytest.mark.parametrize("policy,complaint", [
+        # A bare string silently became the set {"l", "h", "r"}: "ok — no findings".
+        ({"match": {"pop": "lhr"}}, "match: pop must be a list, got 'lhr'"),
+        # These escaped as TypeError tracebacks.
+        ({"pool": "192.0.2.0/24"}, "pool must be an object"),
+        ({"ttl": None}, "ttl must be an integer"),
+    ])
+    def test_malformed_policy_spec_exits_2_with_one_line(self, tmp_path, capsys,
+                                                         policy, complaint):
+        import json
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "advertised": ["192.0.2.0/24"],
+            "policies": [{"name": "p", "pool": {"advertised": "192.0.2.0/24"}, **policy}],
+        }))
+        assert main(["check", str(bad)]) == 2
+        out = capsys.readouterr().out.strip()
+        assert "\n" not in out
+        assert out.startswith("check-config error:") and "policies[0]: policy 'p'" in out
+        assert complaint in out
+
     def test_warnings_pass_unless_strict(self, tmp_path):
         mod = tmp_path / "warn_only.py"
         mod.write_text("def f(x, q=[]):\n    q.append(x)\n")

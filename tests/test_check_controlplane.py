@@ -94,6 +94,55 @@ class TestOverlapCP003:
         assert "CP003" not in rules_of(findings)
 
 
+class TestShadowedCP009:
+    @staticmethod
+    def info(name, match=None, priority=100, prefix=WEB):
+        return PolicyInfo(name, pool(prefix, name=f"{name}-pool"), 30, priority,
+                          match={k: frozenset(v) for k, v in (match or {}).items()})
+
+    def shadowed(self, *policies):
+        findings = run(CheckContext(policies=list(policies)))
+        return [f.location for f in findings if f.rule == "CP009"]
+
+    def test_later_catch_all_is_shadowed_by_an_earlier_one(self):
+        assert self.shadowed(self.info("a"), self.info("b")) == ["policy:b"]
+        # Priority, not config order, decides who is earlier.
+        assert self.shadowed(self.info("a"), self.info("b", priority=1)) == ["policy:a"]
+
+    def test_narrow_rule_behind_a_broad_one_is_shadowed(self):
+        assert self.shadowed(
+            self.info("broad", {"pop": ["iad", "lhr"]}, priority=1),
+            self.info("narrow", {"pop": ["iad"], "account_type": ["free"]}, priority=2),
+        ) == ["policy:narrow"]
+
+    def test_jointly_shadowed_by_several_earlier_policies(self):
+        assert self.shadowed(
+            self.info("iad", {"pop": ["iad"]}, priority=1),
+            self.info("lhr", {"pop": ["lhr"]}, priority=2),
+            self.info("both", {"pop": ["iad", "lhr"]}, priority=3),
+        ) == ["policy:both"]
+
+    def test_match_that_can_never_hold(self):
+        assert self.shadowed(
+            self.info("nobody", {"pop": []}),
+            self.info("wrong-family", {"family": [6]}),  # a v4 pool
+        ) == ["policy:nobody", "policy:wrong-family"]
+
+    def test_overlapping_but_reachable_policies_are_clean(self):
+        assert self.shadowed(
+            self.info("free-iad", {"pop": ["iad"], "account_type": ["free"]}, priority=1),
+            self.info("iad", {"pop": ["iad"]}, priority=2),
+            self.info("v6", prefix=parse_prefix("2001:db8::/44"), priority=3),
+            self.info("rest", priority=4),
+        ) == []
+
+    def test_from_policy_carries_the_match(self):
+        from repro.core.policy import Policy
+
+        live = Policy("p", pool(), match={"pop": {"iad"}})
+        assert PolicyInfo.from_policy(live).match == {"pop": frozenset({"iad"})}
+
+
 class TestTTL:
     def test_ttl_zero_warns_cp005(self):
         findings = run(ctx(policies=[policy(ttl=0)]))

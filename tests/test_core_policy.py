@@ -46,6 +46,23 @@ class TestPolicyMatching:
         with pytest.raises(ValueError):
             Policy("bad", V4_POOL, ttl=-1)
 
+    @pytest.mark.parametrize("values", ["lhr", b"lhr", 4, None])
+    def test_bare_match_value_rejected(self, values):
+        # set("lhr") is {"l", "h", "r"}: it would never match lhr and would
+        # match a PoP named "l".
+        with pytest.raises(ValueError, match=r"match\['pop'\] must be a collection"):
+            Policy("typo", V4_POOL, match={"pop": values})
+
+    def test_match_is_frozen_after_construction(self):
+        allowed = {"iad"}
+        policy = Policy("narrow", V4_POOL, match={"pop": allowed})
+        allowed.add("lhr")  # the caller's set is not the policy's
+        assert not policy.matches(attrs(pop="lhr"))
+        with pytest.raises(AttributeError):
+            policy.match["pop"].add("lhr")
+        with pytest.raises(TypeError):
+            policy.match["pop"] = {"lhr"}
+
 
 class TestPolicyEngine:
     def test_first_match_by_priority(self):
@@ -80,8 +97,32 @@ class TestPolicyEngine:
         engine.add(policy)
         assert engine.get("p") is policy
         assert engine.remove("p") is policy
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no policy named 'p'"):
             engine.get("p")
+        with pytest.raises(KeyError, match="no policy named 'p'"):
+            engine.remove("p")
+        engine.add(Policy("p", V4_POOL))  # the name is free again
+
+    def test_add_and_remove_act_on_the_next_query(self):
+        engine = PolicyEngine(random.Random(0))
+        engine.add(Policy("broad", V4_POOL, match={}, priority=200))
+        assert engine.evaluate(attrs()).policy.name == "broad"
+        engine.add(Policy("specific", V4_POOL, match={"pop": {"iad"}}, priority=10))
+        assert engine.evaluate(attrs()).policy.name == "specific"
+        engine.remove("specific")
+        assert engine.evaluate(attrs()).policy.name == "broad"
+        engine.remove("broad")
+        assert engine.evaluate(attrs()) is None
+
+    def test_randomizing_policy_never_reads_the_hostname(self):
+        """§3.2 through the engine, which hands strategies the attributes
+        themselves: same seed, same draws, whatever the names."""
+        def draws(hostnames):
+            engine = PolicyEngine(random.Random(5))
+            engine.add(Policy("p", V4_POOL))
+            return [engine.evaluate(attrs(hostname=h)).address for h in hostnames]
+
+        assert draws(["a.com"] * 3) == draws(["a.com", "b.com", "c.com"])
 
     def test_hit_counters(self):
         engine = PolicyEngine(random.Random(0))

@@ -77,6 +77,33 @@ class TestCompile:
         with pytest.raises(PolicySpecError, match="missing required"):
             compile_policy({"pool": {"advertised": "192.0.0.0/20"}})
 
+    def test_bare_string_match_value_rejected(self):
+        # set("lhr") is {"l", "h", "r"}; the JSON author meant ["lhr"].
+        with pytest.raises(PolicySpecError, match="'randomize-free': match: pop must be a list"):
+            compile_policy(spec(match={"pop": "lhr"}))
+
+    @pytest.mark.parametrize("overrides,complaint", [
+        ({"pool": "192.0.2.0/24"}, "pool must be an object"),
+        ({"match": ["pop"]}, "match must be an object"),
+        ({"match": {"pop": [["iad"]]}}, "pop values must be scalars"),
+        ({"ttl": "30"}, "ttl must be an integer"),
+        ({"ttl": None}, "ttl must be an integer"),
+        ({"ttl": True}, "ttl must be an integer"),
+        ({"priority": 2.5}, "priority must be an integer"),
+        ({"params": [1]}, "params must be an object"),
+        ({"strategy": "static", "params": {"per_address": "x"}}, "strategy 'static'"),
+    ])
+    def test_wrongly_typed_fields_are_spec_errors(self, overrides, complaint):
+        # Each of these used to escape as a TypeError/ValueError traceback
+        # (or, for "30" and 2.5, be silently coerced).
+        with pytest.raises(PolicySpecError, match=complaint):
+            compile_policy(spec(**overrides))
+
+    @pytest.mark.parametrize("not_a_spec", ["p", ["name", "pool"], None])
+    def test_non_object_spec_rejected(self, not_a_spec):
+        with pytest.raises(PolicySpecError, match="must be an object"):
+            compile_policy(not_a_spec)
+
 
 class TestVerifier:
     def test_clean_set_passes(self):
