@@ -8,11 +8,13 @@ loop-of-scalars seams ``FlowEngine.run_scalar`` uses — and persists a
 ``BENCH_flow_<stage>.json`` snapshot whose ``batch_speedup`` ratio the CI
 perf gate (``benchmarks/perf_gate.py``) pins against committed baselines.
 
-Both arms are timed with the same best-of-``REPEATS`` harness so the
-ratio is apples-to-apples; absolute flows/s are machine-bound and stay
-ungated.  The differential suite (``tests/test_flow_differential.py``)
-separately proves the two arms produce identical verdicts and counters —
-these benches only measure them.
+Resolve has no arm: it runs the scalar seams flow by flow on both sides
+(a Zipf batch's duplicates must see each other's cache stores), so there
+is no second path to compare.  Both arms are timed with the same
+best-of-``REPEATS`` harness so the ratio is apples-to-apples; absolute
+flows/s are machine-bound and stay ungated.  The differential suite
+(``tests/test_flow_differential.py``) separately proves the two arms
+produce identical verdicts and counters — these benches only measure them.
 """
 
 import itertools
@@ -21,7 +23,6 @@ import time
 import pytest
 
 from repro.analysis.reporting import TextTable
-from repro.dns.records import DomainName, Question, RRType
 from repro.experiments.flow_perf import build_flow_world
 from repro.flow import FlowBatch
 from repro.netsim.addr import IPAddress
@@ -33,7 +34,7 @@ from repro.web.http import Request
 
 N_HOSTNAMES = 128
 N_FLOWS = 1024
-REPEATS = 3  # best-of, absorbing warm-up and scheduler noise
+REPEATS = 5  # best-of, absorbing warm-up and scheduler noise
 
 #: Globally unique client sources (10.0.0.0/8) so no benchmark round ever
 #: replays a live 5-tuple — a client cannot reconnect on a bound port.
@@ -121,31 +122,6 @@ def test_hash_stage(world, rates, save_bench, benchmark):
     scalar_fps = _rate(scalar, loops * N_FLOWS)
     _save_stage(save_bench, rates, "hash", batched_fps, scalar_fps,
                 backend=1.0 if backend.name == "numpy" else 0.0)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_resolve_stage(world, rates, save_bench, benchmark):
-    """Warm-cache resolve: one ``lookup_batch`` versus per-flow lookups."""
-    engine = world.engine
-    sites = world.universe.sites
-    loops = 16
-    addrs = [IPAddress.v4(0x0A000000)] * len(sites)
-    ports = [33_333] * len(sites)
-
-    def batched():
-        for _ in range(loops):
-            engine.resolve_batch(FlowBatch(list(sites), addrs, ports))
-
-    def scalar():
-        for _ in range(loops):
-            for hostname in sites:
-                engine._resolve_one(
-                    Question(DomainName.from_text(hostname), RRType.A)
-                )
-
-    batched_fps = _rate(batched, loops * len(sites))
-    scalar_fps = _rate(scalar, loops * len(sites))
-    _save_stage(save_bench, rates, "resolve", batched_fps, scalar_fps)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
@@ -254,7 +230,7 @@ def test_end_to_end(world, rates, save_bench, benchmark):
 
 
 def test_flow_throughput_report(world, rates, save_table, save_bench, benchmark):
-    stages = ("hash", "resolve", "connect", "dispatch", "serve", "end_to_end")
+    stages = ("hash", "connect", "dispatch", "serve", "end_to_end")
     assert {f"{stage}-speedup" for stage in stages} <= set(rates)
     table = TextTable(
         "Columnar flow engine: batched vs scalar throughput "

@@ -18,12 +18,14 @@ those:
                          behind one rule (first match is an index lookup,
                          so the rate must be flat in table size)
 
-``flow_hash`` / ``flow_resolve`` / ``flow_connect`` / ``flow_dispatch`` /
-``flow_serve`` / ``flow_end_to_end``
+``flow_hash`` / ``flow_connect`` / ``flow_dispatch`` / ``flow_serve`` /
+``flow_end_to_end``
     ``batch_speedup``  — columnar flow-engine stage throughput over the
                          loop-of-scalars reference (``bench_flow_engine``;
-                         floors sit below the measured ratios so a stage
-                         silently regressing to slower-than-scalar fails)
+                         resolve has one path and no ratio; a batch seam
+                         that stays must earn its keep, so the connect /
+                         serve / end-to-end floors are ROADMAP item 2's
+                         bar, not "never slower than scalar")
 
 ``readdressing``
     ``drill_vs_soak``  — fetch throughput with a staged-shrink campaign
@@ -66,18 +68,23 @@ GATED: dict[str, dict[str, dict[str, float]]] = {
     "dns_qps": {"policy_vs_zone": {"floor": 0.5, "tolerance": 0.45},
                 "table256_vs_table1": {"floor": 0.7, "tolerance": 0.30}},
     # Flow-engine stage ratios (batched / scalar, measured back to back on
-    # one machine).  Stages whose per-flow work batching cannot amortise
-    # sit close to 1.0 — warm-cache resolve; serve, which is bound by the
-    # cache's per-request rendezvous pick and LRU probe, not by the origin
-    # — and get wider tolerances so runner noise doesn't flap the gate; the
-    # floors defend the real claim — batching must never lose to the
-    # scalar loop.
+    # one machine).  connect and serve batch what the scalar seams cannot —
+    # the ECMP picks and the cache home nodes as one rendezvous matrix per
+    # batch, one SYN packet and one response per flow — and are held to
+    # "every batch seam that survives earns >= 1.5x" (connect, whose
+    # per-flow handshake the column does not touch, to 1.3x).
     "flow_hash": {"batch_speedup": {"floor": 1.0, "tolerance": 0.30}},
-    "flow_resolve": {"batch_speedup": {"floor": 0.9, "tolerance": 0.25}},
-    "flow_connect": {"batch_speedup": {"floor": 0.9, "tolerance": 0.25}},
-    "flow_dispatch": {"batch_speedup": {"floor": 1.2, "tolerance": 0.30}},
-    "flow_serve": {"batch_speedup": {"floor": 0.9, "tolerance": 0.25}},
-    "flow_end_to_end": {"batch_speedup": {"floor": 0.95, "tolerance": 0.25}},
+    "flow_connect": {"batch_speedup": {"floor": 1.3, "tolerance": 0.25}},
+    # flow_dispatch read 1.8-2.0 while ``SkLookupProgram.compiled()`` ran a
+    # function-level import on every scalar dispatch and once per batch.
+    # With the import gone the scalar arm doubled and the two arms are
+    # within noise of each other (0.86-1.27, median 1.18, over eight runs):
+    # the old 1.2 floor measured the import, not the seam.  What is left
+    # to defend until ROADMAP item 2(b) decides ``dispatch_batch``'s fate
+    # is that batching does not lose.
+    "flow_dispatch": {"batch_speedup": {"floor": 0.9, "tolerance": 0.30}},
+    "flow_serve": {"batch_speedup": {"floor": 1.5, "tolerance": 0.25}},
+    "flow_end_to_end": {"batch_speedup": {"floor": 1.5, "tolerance": 0.25}},
     # Real-socket pool (bench_serve_qps): multi-worker / single-worker UDP
     # throughput.  On multi-core runners SO_REUSEPORT spreads load and the
     # ratio exceeds 1; on a single-core container the arms tie (measured

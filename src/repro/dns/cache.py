@@ -121,40 +121,27 @@ class DNSCache:
     # -- writes ----------------------------------------------------------------
 
     def store(self, question: Question, records: Iterable[ResourceRecord]) -> None:
-        """Cache a positive answer — :meth:`store_batch` of one."""
-        self.store_batch(((question, records),))
+        """Cache a positive answer under the smallest TTL of its records."""
+        records = tuple(records)
+        if not records:
+            return
+        ttl = self.policy.effective_ttl(min(r.ttl for r in records))
+        if ttl <= 0:
+            return  # TTL 0 answers are use-once; never cached
+        now = self.clock.now()
+        key = (question.name, question.rrtype)
+        self._evict_if_full(key)
+        self._entries[key] = _Entry(records=records, stored_at=now, expires_at=now + ttl)
+        self.stats.insertions += 1
 
     def store_batch(
         self,
         items: Sequence[tuple[Question, Iterable[ResourceRecord]]],
     ) -> None:
-        """Cache many positive answers; ``insertions`` folded once per batch.
-
-        State changes (eviction sweeps, overwrites) happen per item in
-        order, exactly as :meth:`store` in a loop would — only the counter
-        write is hoisted.  The fold lands even if an item raises partway,
-        so counters never drift from the entries actually inserted.
-        """
-        effective_ttl = self.policy.effective_ttl
-        entries = self._entries
-        inserted = 0
-        try:
-            for question, records in items:
-                records = tuple(records)
-                if not records:
-                    continue
-                ttl = effective_ttl(min(r.ttl for r in records))
-                if ttl <= 0:
-                    continue  # TTL 0 answers are use-once; never cached
-                now = self.clock.now()
-                key = (question.name, question.rrtype)
-                self._evict_if_full(key)
-                entries[key] = _Entry(
-                    records=records, stored_at=now, expires_at=now + ttl
-                )
-                inserted += 1
-        finally:
-            self.stats.insertions += inserted
+        """:meth:`store` per item, in order: an item that raises leaves the
+        earlier ones stored and counted."""
+        for question, records in items:
+            self.store(question, records)
 
     def store_negative(self, question: Question, soa_minimum: int, nxdomain: bool = True) -> None:
         """Negative caching (RFC 2308): remember NXDOMAIN or NODATA for the
@@ -200,66 +187,43 @@ class DNSCache:
         return None if hit is None else hit[0]
 
     def lookup(self, question: Question) -> tuple[tuple[ResourceRecord, ...], bool] | None:
-        """Like :meth:`get` but returns ``(records, is_nxdomain)`` —
-        :meth:`lookup_batch` of one."""
-        return self.lookup_batch((question,))[0]
+        """Like :meth:`get` but returns ``(records, is_nxdomain)``."""
+        key = (question.name, question.rrtype)
+        entry = self._entries.get(key)
+        stats = self.stats
+        if entry is None:
+            stats.misses += 1
+            return None
+        now = self.clock.now()
+        if entry.expires_at <= now:
+            # Stale-but-retained positive entries stay for lookup_stale;
+            # they read as misses here so callers still try upstream first.
+            keep = (
+                self.serve_stale_window > 0
+                and not entry.negative
+                and now < entry.expires_at + self.serve_stale_window
+            )
+            if not keep:
+                del self._entries[key]
+                stats.expirations += 1
+            stats.misses += 1
+            return None
+        stats.hits += 1
+        if entry.negative:
+            return (), entry.nxdomain
+        # Advertise the remaining *effective* lifetime, not the original
+        # record TTL: a clamp_min-stretched entry (the §4.4 violator) keeps
+        # being served here for the clamped lifetime, and downstream caches
+        # must see that — it is exactly the rebind delay §4.4 warns about.
+        remaining = max(int(entry.expires_at - now), 0)
+        return tuple(r.with_ttl(remaining) for r in entry.records), False
 
     def lookup_batch(
         self, questions: Sequence[Question]
     ) -> list[tuple[tuple[ResourceRecord, ...], bool] | None]:
-        """Batched :meth:`lookup`: one result per question, in order, with
-        hit/miss/expiration counters folded once per batch.
-
-        Expiry side effects (entry deletion) stay per item in sequence, so
-        duplicate questions within a batch behave exactly as a scalar loop
-        — the second occurrence sees whatever the first left behind.
-        """
-        entries = self._entries
-        serve_stale_window = self.serve_stale_window
-        hits = misses = expirations = 0
-        results: list[tuple[tuple[ResourceRecord, ...], bool] | None] = []
-        append = results.append
-        try:
-            for question in questions:
-                key = (question.name, question.rrtype)
-                entry = entries.get(key)
-                now = self.clock.now()
-                if entry is None:
-                    misses += 1
-                    append(None)
-                    continue
-                if entry.expires_at <= now:
-                    # Stale-but-retained positive entries stay for
-                    # lookup_stale; they read as misses here so callers
-                    # still try upstream first.
-                    keep = (
-                        serve_stale_window > 0
-                        and not entry.negative
-                        and now < entry.expires_at + serve_stale_window
-                    )
-                    if not keep:
-                        del entries[key]
-                        expirations += 1
-                    misses += 1
-                    append(None)
-                    continue
-                hits += 1
-                if entry.negative:
-                    append(((), entry.nxdomain))
-                    continue
-                # Advertise the remaining *effective* lifetime, not the
-                # original record TTL: a clamp_min-stretched entry (the
-                # §4.4 violator) keeps being served here for the clamped
-                # lifetime, and downstream caches must see that — it is
-                # exactly the rebind delay §4.4 warns about.
-                remaining = max(int(entry.expires_at - now), 0)
-                append((tuple(r.with_ttl(remaining) for r in entry.records), False))
-        finally:
-            stats = self.stats
-            stats.hits += hits
-            stats.misses += misses
-            stats.expirations += expirations
-        return results
+        """:meth:`lookup` per question, in order — duplicate questions see
+        whatever the earlier occurrence left behind (an expiry deletes)."""
+        return [self.lookup(question) for question in questions]
 
     def lookup_stale(self, question: Question, stale_ttl: int = 30) -> tuple[ResourceRecord, ...] | None:
         """An expired-but-retained answer (RFC 8767 serve-stale), or None.

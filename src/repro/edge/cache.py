@@ -18,9 +18,10 @@ each node runs an LRU store.  Misses fetch through the origin gateway.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..hashing import fnv1a64, hrw_seed, pick
+from ..hashing import fnv1a64, fnv1a64_column, hrw_seed, hrw_table, pick, pick_column
 from ..web.http import Request, Response, Status
 from ..web.origin import OriginPool
 
@@ -87,9 +88,11 @@ class DistributedCache:
         self.origin_gateway = origin_gateway
         self.node_capacity_bytes = node_capacity_bytes
         self._nodes: dict[str, CacheNode] = {}
-        #: One :func:`~repro.hashing.hrw_seed` per node; touched only by
+        #: One :func:`~repro.hashing.hrw_seed` per node, and the same
+        #: membership prepared for :meth:`home_nodes`; touched only by
         #: :meth:`add_node` / :meth:`remove_node`.
         self._seeds: list[tuple[int, str]] = []
+        self._table = hrw_table(self._seeds)
 
     # -- membership ----------------------------------------------------------
 
@@ -99,6 +102,7 @@ class DistributedCache:
         node = CacheNode(name, self.node_capacity_bytes)
         self._nodes[name] = node
         self._seeds.append(hrw_seed(name))
+        self._table = hrw_table(self._seeds)
         return node
 
     def remove_node(self, name: str) -> None:
@@ -111,35 +115,67 @@ class DistributedCache:
             )
         del self._nodes[name]
         self._seeds.remove(hrw_seed(name))
+        self._table = hrw_table(self._seeds)
 
     def nodes(self) -> dict[str, CacheNode]:
         return dict(self._nodes)
 
+    @staticmethod
+    def _key_bytes(host: str, path: str) -> bytes:
+        """What a content key hashes as: ``host ‖ 0xFF ‖ path``.  The
+        separator byte cannot occur in UTF-8, so distinct (host, path)
+        pairs never concatenate to the same bytes."""
+        return host.encode() + b"\xff" + path.encode()
+
     def home_node(self, key: tuple[str, str]) -> CacheNode:
         """The node owning ``key``: the content identity is hashed once —
-        ``fnv1a64(host ‖ 0xFF ‖ path)`` — and weighed against every node's
-        seed.  The separator byte cannot occur in UTF-8, so distinct
-        (host, path) pairs never concatenate to the same bytes."""
+        ``fnv1a64`` of :meth:`_key_bytes` — and weighed against every
+        node's seed."""
         if not self._nodes:
             raise RuntimeError("distributed cache has no nodes")
-        host, path = key
-        key_hash = fnv1a64(host.encode() + b"\xff" + path.encode())
-        return self._nodes[pick(self._seeds, key_hash)]
+        return self._nodes[pick(self._seeds, fnv1a64(self._key_bytes(*key)))]
+
+    def home_nodes(self, requests: Sequence[Request]) -> list[CacheNode]:
+        """:meth:`home_node` of every request's content key, as one column:
+        the keys hashed together, then one ``(requests × nodes)`` rendezvous
+        matrix.  A batch driver hands each node back to :meth:`fetch`."""
+        if not requests:
+            return []
+        if not self._nodes:
+            raise RuntimeError("distributed cache has no nodes")
+        key_bytes = self._key_bytes
+        key_hashes = fnv1a64_column(
+            [key_bytes(r.authority.lower().rstrip("."), r.path) for r in requests]
+        )
+        nodes = self._nodes
+        return [nodes[name] for name in pick_column(self._table, key_hashes)]
 
     # -- the serve path ---------------------------------------------------------
 
-    def fetch(self, request: Request) -> Response:
+    def fetch(self, request: Request, host: str | None = None,
+              home: CacheNode | None = None, latency_s: float = 0.0) -> Response:
         """Serve a request through the cache; fills from origin on miss.
 
         Note the key: content identity only.  The caller's connection,
         destination address, and addressing policy are invisible here —
         the §4.3 isolation property.
+
+        ``host`` and ``home`` forward what the caller already worked out —
+        the canonical (lower-case, no trailing dot) authority and its
+        :meth:`home_nodes` entry; absent, they are computed here.
+        ``latency_s`` is the serving box's service time, stamped on the
+        response as it is built.
         """
-        key = (request.authority.lower().rstrip("."), request.path)
-        node = self.home_node(key)
+        if host is None:
+            host = request.authority.lower().rstrip(".")
+        key = (host, request.path)
+        node = self.home_node(key) if home is None else home
         size = node.get(key)
         if size is not None:
-            return Response(Status.OK, body_len=size, served_by=node.name, cache_hit=True)
+            return Response(
+                Status.OK, body_len=size, served_by=node.name, cache_hit=True,
+                latency_s=latency_s,
+            )
         response = self.origin_gateway.fetch(request)
         if response.status is Status.OK:
             node.put(key, response.body_len)
@@ -148,6 +184,7 @@ class DistributedCache:
             body_len=response.body_len,
             served_by=node.name,
             cache_hit=False,
+            latency_s=latency_s,
         )
 
     # -- aggregate stats -----------------------------------------------------

@@ -18,7 +18,7 @@ from ..netsim.addr import IPAddress, Prefix
 from ..netsim.geo import GeoPoint
 from ..netsim.packet import FiveTuple, Packet, Protocol
 from ..sockets.errors import BatchShapeError
-from ..sockets.lookup import flow_hash
+from ..sockets.lookup import flow_hash, flow_hash_tuple
 from ..web.http import Connection, HTTPVersion, Request, Response
 from ..web.origin import OriginPool
 from ..web.tls import CertificateStore, ClientHello
@@ -343,9 +343,11 @@ class Datacenter:
         requests: Sequence[tuple[FiveTuple, ClientHello, HTTPVersion]],
         flow_hashes: Sequence[int] | None = None,
     ) -> list[Connection]:
-        """Batched ingress: one flow hash per SYN, shared across ECMP and
-        listener selection, with ECMP and traffic-log accounting folded in
-        once per batch rather than incremented per connection.
+        """Batched ingress: one flow hash and one SYN packet per flow, the
+        whole batch's ECMP picks as one
+        :meth:`~repro.edge.ecmp.ECMPRouter.choose_many` column, and ECMP and
+        traffic-log accounting folded in once per batch rather than
+        incremented per connection.
 
         ``flow_hashes`` — parallel to ``requests`` — reuses hashes the flow
         engine computed up front (one vectorised pass over the whole
@@ -356,37 +358,45 @@ class Datacenter:
         recording per packet would dominate what they measure).  Counter
         parity holds under partial failure too: the folds run in a
         ``finally``, and within each item accounting is ordered as the
-        scalar path orders it — the ECMP choice counts even when the
-        handshake then refuses, the connection sample flips only after the
-        handshake succeeds.
+        scalar path orders it — the ECMP choice counts once the SYN is past
+        the ingress gate, even when the handshake then refuses (choices
+        picked for flows the batch never reached are not folded); the
+        connection sample flips only after the handshake succeeds.  One
+        corner differs: an *empty* ECMP group refuses a non-empty batch
+        before its first SYN reaches the ingress gate.
         """
-        if flow_hashes is not None and len(flow_hashes) != len(requests):
+        if flow_hashes is None:
+            flow_hashes = [flow_hash_tuple(tuple5) for tuple5, _, _ in requests]
+        elif len(flow_hashes) != len(requests):
             raise BatchShapeError(
                 "connect_batch", "flow_hashes must parallel requests",
                 {"requests": len(requests), "flow_hashes": len(flow_hashes)},
             )
-        choose = self.ecmp.choose
+        choices = self.ecmp.choose_many(flow_hashes)
+        # Ungated ingress admits everything and draws nothing from the RNG.
+        gated = bool(self.ingress_loss) or self.capacity is not None
         admit = self.l4lb.admit
         servers = self.servers
         conn_owner = self._conn_owner
-        choices: list[str] = []
+        routed = 0
         dsts: list[IPAddress] = []
         connections: list[Connection] = []
         append = connections.append
         try:
-            for i, (tuple5, hello, version) in enumerate(requests):
-                self._admit_ingress(tuple5)
+            for (tuple5, hello, version), fh, ecmp_choice in zip(requests, flow_hashes, choices):
+                if gated:
+                    self._admit_ingress(tuple5)
+                routed += 1
                 syn = Packet(tuple5, syn=True)
-                fh = flow_hash(syn) if flow_hashes is None else flow_hashes[i]
-                ecmp_choice = choose(fh)
-                choices.append(ecmp_choice)
                 owner = admit(syn, ecmp_choice)
-                connection = servers[owner].handshake(tuple5, hello, version, flow_hash=fh)
+                connection = servers[owner].handshake(
+                    tuple5, hello, version, flow_hash=fh, syn=syn
+                )
                 conn_owner[connection.conn_id] = owner
                 dsts.append(tuple5.dst)
                 append(connection)
         finally:
-            self.ecmp.stats.fold(choices)
+            self.ecmp.stats.fold(choices[:routed])
             sampled = self.traffic.record_connection_batch(dsts)
             conn_sampled = self._conn_sampled
             for connection, decision in zip(connections, sampled):
@@ -416,24 +426,27 @@ class Datacenter:
         self, pairs: Sequence[tuple[Connection, Request]]
     ) -> list[Response]:
         """Serve many (connection, request) pairs; ``serve`` in a loop with
-        the per-request dict probes and trace plumbing hoisted out and the
+        the cache's home nodes picked as one
+        :meth:`~repro.edge.cache.DistributedCache.home_nodes` column, the
+        per-request dict probes and trace plumbing hoisted out, and the
         traffic-log fold deferred to once per batch (in a ``finally``, so
         requests served before a mid-batch failure are still counted, as
         the scalar loop would have counted them)."""
         conn_owner = self._conn_owner
         conn_sampled = self._conn_sampled
         servers = self.servers
+        homes = self.cache.home_nodes([request for _, request in pairs])
         records: list[tuple[IPAddress, int, bool | None]] = []
         responses: list[Response] = []
         append = responses.append
         try:
-            for connection, request in pairs:
+            for (connection, request), home in zip(pairs, homes):
                 owner = conn_owner.get(connection.conn_id)
                 if owner is None:
                     raise RuntimeError(
                         f"connection {connection.conn_id} was not established at {self.name}"
                     )
-                response = servers[owner].serve(connection, request)
+                response = servers[owner].serve(connection, request, home)
                 records.append(
                     (
                         connection.remote_addr,

@@ -23,9 +23,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from ..hashing import hrw_seed, pick
+from ..hashing import hrw_seed, hrw_table, pick, pick_column
 from ..netsim.packet import Packet
-from ..sockets.errors import BatchShapeError
 from ..sockets.lookup import flow_hash
 
 __all__ = ["ECMPRouter", "EcmpStats", "UnknownServerError"]
@@ -59,11 +58,14 @@ class ECMPRouter:
 
     Each member is held as its :func:`~repro.hashing.hrw_seed` — the name
     hashed once when it joins — so a routing decision never touches the
-    names' bytes.
+    names' bytes.  ``_table`` is the same membership prepared for
+    :meth:`choose_many`; both change only in :meth:`add_server` /
+    :meth:`remove_server`.
     """
 
     def __init__(self, servers: list[str] | None = None) -> None:
         self._seeds: list[tuple[int, str]] = []
+        self._table = hrw_table(self._seeds)
         self.stats = EcmpStats()
         for s in servers or []:
             self.add_server(s)
@@ -75,6 +77,7 @@ class ECMPRouter:
         if seed in self._seeds:
             raise ValueError(f"server {server!r} already in ECMP group")
         self._seeds.append(seed)
+        self._table = hrw_table(self._seeds)
 
     def remove_server(self, server: str) -> None:
         """Drop a member; raises :class:`UnknownServerError` if absent.
@@ -90,6 +93,7 @@ class ECMPRouter:
                 f"server {server!r} not in ECMP group "
                 f"(members: {', '.join(self.servers()) or 'none'})"
             ) from None
+        self._table = hrw_table(self._seeds)
 
     def servers(self) -> list[str]:
         return [name for _, name in self._seeds]
@@ -100,11 +104,8 @@ class ECMPRouter:
     # -- routing -------------------------------------------------------------
 
     def choose(self, flow_hash_value: int) -> str:
-        """The stateless HRW pick for one flow hash — no stats recorded.
-
-        Batch drivers call this per flow and fold accounting once per
-        batch (:meth:`EcmpStats.fold`); :meth:`route` composes pick and
-        record for the scalar path.
+        """The stateless HRW pick for one flow hash — no stats recorded;
+        :meth:`route` composes pick and record for the scalar path.
 
         Weight ties break on the server *name*, never on list position:
         HRW's minimal-remap guarantee is a property of the (server, flow)
@@ -117,52 +118,24 @@ class ECMPRouter:
             raise RuntimeError("ECMP group is empty")
         return pick(self._seeds, flow_hash_value)
 
+    def choose_many(self, flow_hashes: Sequence[int]) -> list[str]:
+        """:meth:`choose` for a whole flow-hash column, as one
+        ``(flows × servers)`` rendezvous matrix — no stats recorded: batch
+        drivers fold the choices they actually used
+        (:meth:`EcmpStats.fold`)."""
+        if not len(flow_hashes):
+            return []
+        if not self._seeds:
+            raise RuntimeError("ECMP group is empty")
+        return pick_column(self._table, flow_hashes)
+
     def route(self, packet: Packet, flow_hash_value: int | None = None) -> str:
         """Pick the server for a packet's flow; deterministic per 5-tuple.
 
         ``flow_hash_value`` reuses a hash the ingress pipeline already
-        computed — the hot path hashes each packet exactly once.  This is
-        :meth:`route_batch` of one: scalar routing delegates to the batch
-        machinery so the two paths cannot drift.
+        computed — the hot path hashes each packet exactly once.
         """
         fh = flow_hash(packet) if flow_hash_value is None else flow_hash_value
         chosen = self.choose(fh)
         self.stats.record(chosen)
         return chosen
-
-    def route_batch(
-        self,
-        packets: Sequence[Packet],
-        flow_hashes: Sequence[int] | None = None,
-    ) -> list[str]:
-        """Route a batch of packets; stats folded once per batch.
-
-        ``flow_hashes`` — parallel to ``packets`` — reuses hashes the flow
-        engine computed up front (one vectorised pass per batch); a
-        mismatched column raises :class:`BatchShapeError`.  Identical
-        decisions and identical final counters to :meth:`route` in a loop,
-        including on partial failure: choices made before an exception are
-        still folded in.
-        """
-        if flow_hashes is not None and len(flow_hashes) != len(packets):
-            raise BatchShapeError(
-                "ECMPRouter.route_batch", "flow_hashes must parallel packets",
-                {"packets": len(packets), "flow_hashes": len(flow_hashes)},
-            )
-        choose = self.choose
-        choices: list[str] = []
-        append = choices.append
-        try:
-            if flow_hashes is None:
-                for packet in packets:
-                    append(choose(flow_hash(packet)))
-            else:
-                for fh in flow_hashes:
-                    append(choose(fh))
-        finally:
-            self.stats.fold(choices)
-        return choices
-
-    def route_tuple(self, tuple5) -> str:
-        """Route by 5-tuple without constructing a Packet."""
-        return self.route(Packet(tuple5))

@@ -44,11 +44,13 @@ class L4LoadBalancer:
         self._flows: dict[FiveTuple, str] = {}
 
     def admit(self, packet: Packet, ecmp_choice: str) -> str:
-        owner = self._flows.get(packet.tuple5)
-        if owner is None:
-            self._flows[packet.tuple5] = ecmp_choice
+        # One probe: the table grew exactly when the flow was new.
+        flows = self._flows
+        tracked = len(flows)
+        owner = flows.setdefault(packet.tuple5, ecmp_choice)
+        if len(flows) > tracked:
             self.stats.new_flows += 1
-            return ecmp_choice
+            return owner
         self.stats.tracked_hits += 1
         if owner != ecmp_choice:
             self.stats.rehomed += 1

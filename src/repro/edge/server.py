@@ -32,7 +32,7 @@ from ..sockets.sklookup import MatchRule, SkLookupProgram, SockArray, Verdict
 from ..sockets.socktable import SocketTable
 from ..web.http import Connection, HTTPVersion, Request, Response, Status
 from ..web.tls import CertificateStore, ClientHello, TLSError
-from .cache import DistributedCache
+from .cache import CacheNode, DistributedCache
 from .customers import CustomerRegistry
 
 __all__ = ["ListenMode", "EdgeServer", "EdgeServerStats", "BASE_SERVE_LATENCY_S"]
@@ -290,13 +290,16 @@ class EdgeServer:
         hello: ClientHello,
         version: HTTPVersion,
         flow_hash: int | None = None,
+        syn: Packet | None = None,
     ) -> Connection:
         """Terminate a new connection: SYN dispatch, accept, TLS select.
 
-        ``flow_hash`` forwards the hash the datacenter's ECMP stage already
-        computed for this SYN, so listener selection never re-hashes.
+        ``flow_hash`` and ``syn`` forward the hash the datacenter's ECMP
+        stage already computed and the SYN packet it already built, so
+        listener selection never re-hashes and no flow is wrapped twice.
         """
-        syn = Packet(tuple5, syn=True)
+        if syn is None:
+            syn = Packet(tuple5, syn=True)
         result = self.dispatch(syn, flow_hash=flow_hash)
         if result.socket is None:
             self.stats.refused_syns += 1
@@ -318,25 +321,32 @@ class EdgeServer:
             sni=hello.sni,
         )
 
-    def serve(self, connection: Connection, request: Request) -> Response:
+    def serve(self, connection: Connection, request: Request,
+              home: CacheNode | None = None) -> Response:
         """The application suite: Host-header routing through the cache.
 
         A request whose authority is outside the presented certificate is
         answered 421 Misdirected Request — the guard that keeps coalescing
         honest (RFC 7540 §9.1.2).  Unknown hostnames get 404.
+
+        The authority is brought to its canonical spelling (lower case, no
+        trailing dot) once, here, and every check below reads that.
+        ``home`` forwards the cache node a batch driver already picked for
+        this request (:meth:`~repro.edge.cache.DistributedCache.home_nodes`).
         """
         if self.crashed:
             raise ConnectionResetError(
                 f"{self.name}: server crashed; connection {connection.conn_id} reset"
             )
         self.stats.requests += 1
-        if not connection.certificate.covers(request.authority):
+        host = request.authority.lower().rstrip(".")
+        if not connection.certificate.covers(host):
             return self._timed(Response(Status.MISDIRECTED, served_by=self.name))
-        if not self.registry.is_hosted(request.authority):
+        if not self.registry.is_hosted(host):
             return self._timed(Response(Status.NOT_FOUND, served_by=self.name))
-        response = self.cache.fetch(request)
+        response = self.cache.fetch(request, host, home, self.serve_latency_s)
         self.stats.bytes_served += response.body_len
-        return self._timed(response)
+        return response
 
     def _timed(self, response: Response) -> Response:
         """Stamp this server's current service time onto the response."""

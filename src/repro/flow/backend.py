@@ -9,9 +9,9 @@ the hash value, so a backend that disagreed in even one bit would steer
 flows to different servers depending on which backend computed it.  The
 differential suite pins equality against the scalar reference.
 
-numpy is optional (the container may not ship it); :func:`default_backend`
-falls back to pure Python, and nothing imports numpy at module import
-time.
+numpy is a declared dependency (:mod:`repro.hashing` imports it for the
+rendezvous columns); the pure-Python backend stays as the reference the
+differential suite compares the vectorised chain against.
 """
 
 from __future__ import annotations

@@ -3,14 +3,11 @@
 One :class:`~repro.flow.batch.FlowBatch` moves through four stages:
 
 resolve
-    DNS query → resolver cache → policy match → mint → cache store.  The
-    *only* stage that may run per item: Zipf workloads are duplicate-heavy
-    and a batch's second request for a hostname must see the first
-    request's cache store, exactly as a scalar loop would — so batches
-    containing duplicate hostnames fall back to the scalar seams in flow
-    order.  Duplicate-free batches take the columnar path (one
-    ``lookup_batch``, one ``answer_batch``, one ``store_batch``), which is
-    counter-identical because distinct cache keys cannot interact.
+    DNS query → resolver cache → policy match → mint → cache store, flow
+    by flow: Zipf workloads are duplicate-heavy and a batch's second
+    request for a hostname must see the first request's cache store, so
+    the stage runs the scalar seams in flow order.  What it shares across
+    a batch is the parse — one ``Question`` per distinct hostname.
 connect
     5-tuples built columnwise, flow hashes computed **once for the whole
     batch** by the hash backend, then one
@@ -125,43 +122,11 @@ class FlowEngine:
             h: Question(DomainName.from_text(h), RRType.A)
             for h in dict.fromkeys(batch.hostnames)
         }
-        questions = [by_name[h] for h in batch.hostnames]
         addresses: list[IPAddress | None] = [None] * n
         ttls = [0] * n
         cached = [False] * n
-
-        if len(by_name) == n:
-            # Columnar path: distinct keys cannot interact, so one batched
-            # call per seam is counter-identical to the scalar loop.
-            hits = self.cache.lookup_batch(questions)
-            miss_idx = [i for i, hit in enumerate(hits) if hit is None]
-            answers = self.source.answer_batch(
-                [questions[i] for i in miss_idx], self.context
-            )
-            for i, hit in enumerate(hits):
-                if hit is None:
-                    continue
-                records, _nx = hit
-                if records:
-                    addresses[i] = _first_address(records)
-                    ttls[i] = records[0].ttl
-                    cached[i] = True
-            to_store: list[tuple[Question, tuple[ResourceRecord, ...]]] = []
-            for i, answer in zip(miss_idx, answers):
-                if answer.rcode is Rcode.NOERROR and answer.records:
-                    to_store.append((questions[i], answer.records))
-                    addresses[i] = _first_address(answer.records)
-                    ttls[i] = answer.records[0].ttl
-            self.cache.store_batch(to_store)
-        else:
-            # Duplicate hostnames in one batch: flow i+1 must observe flow
-            # i's cache store, so run the scalar seams in flow order.
-            for i, question in enumerate(questions):
-                address, ttl, was_cached = self._resolve_one(question)
-                addresses[i] = address
-                ttls[i] = ttl
-                cached[i] = was_cached
-
+        for i, hostname in enumerate(batch.hostnames):
+            addresses[i], ttls[i], cached[i] = self._resolve_one(by_name[hostname])
         batch.set_column("addresses", addresses)
         batch.set_column("ttls", ttls)
         batch.set_column("cached", cached)

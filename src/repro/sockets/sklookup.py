@@ -245,10 +245,10 @@ class SkLookupProgram:
         crash/restore that swaps in a fresh program starts from a fresh
         cache by construction.
         """
-        from .compiled import CompiledProgram  # deferred: avoids import cycle
-
         cache = self._compiled_cache
         if cache is None or cache.version != self._rule_version:
+            from .compiled import CompiledProgram  # deferred: avoids import cycle
+
             cache = self._compiled_cache = CompiledProgram(self)
             self.stats["compiles"] += 1
         return cache

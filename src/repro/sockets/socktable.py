@@ -59,9 +59,19 @@ class Socket:
     local_port: int | None = None
     remote: tuple[IPAddress, int] | None = None
     reuseport: bool = False
-    queue: deque = field(default_factory=lambda: deque(maxlen=RECEIVE_QUEUE_DEPTH))
     enqueued: int = 0
     dropped: int = 0
+    _queue: deque | None = field(default=None, repr=False)
+
+    @property
+    def queue(self) -> deque:
+        """The receive queue, allocated when first touched: an empty bounded
+        deque is ~760 B, and most connected children — every one the flow
+        engine establishes — are never delivered to."""
+        queue = self._queue
+        if queue is None:
+            queue = self._queue = deque(maxlen=RECEIVE_QUEUE_DEPTH)
+        return queue
 
     @property
     def is_wildcard(self) -> bool:
@@ -69,18 +79,20 @@ class Socket:
 
     def deliver(self, packet: Packet) -> bool:
         """Enqueue a packet; returns False (and counts a drop) when full."""
-        if len(self.queue) >= RECEIVE_QUEUE_DEPTH:
+        queue = self.queue
+        if len(queue) >= RECEIVE_QUEUE_DEPTH:
             self.dropped += 1
             return False
-        self.queue.append(packet)
+        queue.append(packet)
         self.enqueued += 1
         return True
 
     def drain(self, n: int | None = None) -> list[Packet]:
         """Consume up to ``n`` queued packets (all, when ``n`` is None)."""
         out: list[Packet] = []
-        while self.queue and (n is None or len(out) < n):
-            out.append(self.queue.popleft())
+        queue = self._queue
+        while queue and (n is None or len(out) < n):
+            out.append(queue.popleft())
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -213,14 +225,16 @@ class SocketTable:
         if listener.state is not SocketState.LISTENING:
             raise InvalidSocketStateError("cannot accept on a non-listening socket")
         proto = tuple5.protocol.wire_protocol
+        key = (proto, tuple5.dst.value, tuple5.dst_port, tuple5.src.value, tuple5.src_port)
+        if key in self._connected:
+            # Refused before the child exists: a duplicate must not leave
+            # an orphan behind in the socket and memory accounting.
+            raise AddressInUseError(f"connection {tuple5} already established")
         child = self.socket(proto, owner=listener.owner)
         child.local_addr = tuple5.dst
         child.local_port = tuple5.dst_port
         child.remote = (tuple5.src, tuple5.src_port)
         child.state = SocketState.CONNECTED
-        key = self._connected_key(child)
-        if key in self._connected:
-            raise AddressInUseError(f"connection {tuple5} already established")
         self._connected[key] = child
         return child
 

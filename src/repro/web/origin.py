@@ -28,7 +28,8 @@ def fixed_size(nbytes: int) -> SizeModel:
 
 @dataclass(slots=True)
 class OriginServer:
-    """One customer origin, hosting some set of hostnames."""
+    """One customer origin, hosting some set of hostnames (canonical
+    spelling: lower case, no trailing dot)."""
 
     name: str
     hostnames: set[str]
@@ -38,9 +39,10 @@ class OriginServer:
 
     def serve(self, request: Request) -> Response:
         self.requests += 1
-        if request.authority not in self.hostnames:
+        host = request.authority.lower().rstrip(".")
+        if host not in self.hostnames:
             return Response(Status.NOT_FOUND, served_by=self.name)
-        size = self.size_model(request.authority, request.path)
+        size = self.size_model(host, request.path)
         self.bytes_served += size
         return Response(Status.OK, body_len=size, served_by=self.name)
 
@@ -58,9 +60,10 @@ class OriginPool:
             self._by_hostname[hostname.lower().rstrip(".")] = origin
 
     def add_hostnames(self, origin: OriginServer, hostnames: set[str]) -> None:
-        origin.hostnames |= hostnames
         for hostname in hostnames:
-            self._by_hostname[hostname.lower().rstrip(".")] = origin
+            hostname = hostname.lower().rstrip(".")
+            origin.hostnames.add(hostname)
+            self._by_hostname[hostname] = origin
 
     def origin_for(self, hostname: str) -> OriginServer | None:
         return self._by_hostname.get(hostname.lower().rstrip("."))

@@ -165,6 +165,21 @@ class TestHandshakeAndServe:
         assert r1.status is Status.OK and not r1.cache_hit
         assert r2.cache_hit
 
+    def test_serve_non_canonical_authority_is_the_same_content(self):
+        """An upper-case, dot-terminated spelling of a hosted name used to
+        clear the certificate, registry and cache-key checks (each
+        normalises) and then 404 at the origin, which compared it raw."""
+        server = self.make_ready()
+        conn = server.handshake(conn_tuple("192.0.2.1"), ClientHello(sni="a.example.com"),
+                                HTTPVersion.H2)
+        shouted = server.serve(conn, Request("A.EXAMPLE.COM.", "/x"))
+        assert shouted.status is Status.OK and not shouted.cache_hit
+        assert shouted.body_len == 100 and shouted.latency_s == server.serve_latency_s
+        canonical = server.serve(conn, Request("a.example.com", "/x"))
+        assert canonical.status is Status.OK and canonical.cache_hit
+        assert canonical.served_by == shouted.served_by
+        assert server.cache.origin_gateway.origins()[0].requests == 1
+
     def test_serve_misdirected_off_certificate(self):
         """RFC 7540 §9.1.2: authority outside the presented cert → 421."""
         server = self.make_ready()

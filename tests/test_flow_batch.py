@@ -81,15 +81,18 @@ class TestDispatchBatchTruncationFix:
 
 
 class TestOtherBatchSeamsShapeChecks:
-    def test_route_batch_mismatch(self):
+    def test_choose_many_is_one_choice_per_hash(self):
+        """``choose_many`` has a single column, so no pair to mismatch: its
+        shape contract is one choice per hash, in order, nothing recorded."""
         from repro.edge.ecmp import ECMPRouter
 
         router = ECMPRouter(["s0", "s1"])
-        packets = make_packets(4)
-        with pytest.raises(BatchShapeError) as excinfo:
-            router.route_batch(packets, flow_hashes=[1, 2, 3])
-        assert excinfo.value.lengths == {"packets": 4, "flow_hashes": 3}
+        hashes = [flow_hash(p) for p in make_packets(4)]
+        assert router.choose_many(hashes) == [router.choose(fh) for fh in hashes]
+        assert router.choose_many([]) == []
         assert router.stats.routed == 0
+        with pytest.raises(RuntimeError):
+            ECMPRouter().choose_many(hashes)
 
     def test_connect_batch_mismatch(self):
         from repro.experiments.flow_perf import build_flow_world

@@ -7,7 +7,10 @@ per-flow verdict column plus every counter surface must be identical.
 Seam-level differentials then pin each ``*_batch`` entry point against
 its scalar form in isolation, including the awkward cases: expiry and
 negative entries mid-batch, serve-stale retention, sub-1.0 sampling
-rates, and partial failure part-way through a batch.
+rates, and partial failure part-way through a batch.  The datacenter's
+two column seams (one ECMP pick matrix, one cache home-node matrix per
+batch) are pinned against the scalar loop across membership changes,
+mid-batch crashes and gated ingress.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from repro.experiments.flow_perf import build_flow_world, make_flow_columns
 from repro.flow import FlowBatch
 from repro.netsim import parse_address
 from repro.netsim.addr import parse_prefix
+from repro.netsim.packet import FiveTuple, Protocol
+from repro.sockets.lookup import flow_hash_tuple
+from repro.web.http import HTTPVersion, Request
+from repro.web.tls import ClientHello
 from repro.workload.hostnames import HostnameUniverse, UniverseConfig
 
 # (corpus seed, flows, batch size) — odd sizes, batch-of-one, and
@@ -385,3 +392,141 @@ class TestTrafficLogSeamParity:
             }
 
         assert surface(log_a) == surface(log_b)
+
+
+class TestDatacenterColumnParity:
+    """``connect_batch`` / ``serve_batch`` — one ECMP column and one
+    home-node column per batch — against the scalar ``connect`` / ``serve``
+    loop on twin datacenters: owner per flow, ECMP accounting, who served
+    what, and every cache-node counter."""
+
+    @staticmethod
+    def _flows(world, n: int, seed: int):
+        rng = random.Random(seed)
+        pool = parse_prefix("192.0.2.0/24")
+        sites = world.universe.sites
+        flows = []
+        for i in range(n):
+            hostname = sites[rng.randrange(len(sites))]
+            src = parse_address(f"100.{64 + seed % 64}.{i // 250}.{i % 250 + 1}")
+            tuple5 = FiveTuple(Protocol.TCP, src, 20_000 + i, pool.random_address(rng), 443)
+            request = Request(hostname, f"/p{rng.randrange(4)}")
+            flows.append(((tuple5, ClientHello(sni=hostname), HTTPVersion.H2), request))
+        return flows
+
+    @staticmethod
+    def _surface(world, connections, responses) -> dict:
+        dc = world.dc
+        return {
+            "owners": [dc.connection_owner(c.conn_id) for c in connections],
+            "ecmp": (dc.ecmp.stats.routed, dict(dc.ecmp.stats.per_server)),
+            "l4lb": dc.l4lb.stats,
+            "ingress": (dc.sheds, dc.syn_drops, dc._chaos_rng.getstate()),
+            "responses": [
+                (r.status, r.body_len, r.served_by, r.cache_hit, r.latency_s) for r in responses
+            ],
+            "nodes": {
+                name: (node.stats.hits, node.stats.misses, node.stats.evictions,
+                       node.stats.bytes_stored, len(node))
+                for name, node in dc.cache.nodes().items()
+            },
+            "servers": {
+                name: (s.stats.connections, s.stats.requests, s.stats.bytes_served,
+                       s.stats.refused_syns)
+                for name, s in dc.servers.items()
+            },
+        }
+
+    def _drive(self, batched, scalar, flows, hashes: bool):
+        """The same flows through both arms; returns the two surfaces."""
+        requests = [request for request, _ in flows]
+        column = [flow_hash_tuple(t5) for t5, _, _ in requests] if hashes else None
+        conns_a = batched.dc.connect_batch(requests, flow_hashes=column)
+        conns_b = [scalar.dc.connect(*request) for request in requests]
+        served_a = batched.dc.serve_batch([(c, r) for c, (_, r) in zip(conns_a, flows)])
+        served_b = [scalar.dc.serve(c, r) for c, (_, r) in zip(conns_b, flows)]
+        return (self._surface(batched, conns_a, served_a),
+                self._surface(scalar, conns_b, served_b))
+
+    @pytest.mark.parametrize("hashes", [True, False], ids=["hash-column", "hashes-computed"])
+    def test_owner_routing_and_cache_counters_identical(self, hashes):
+        batched, scalar = _twin_worlds(num_hostnames=24, num_servers=5)
+        for seed, n in ((1, 200), (2, 1), (3, 77)):
+            a, b = self._drive(batched, scalar, self._flows(batched, n, seed), hashes)
+            assert a == b
+        assert a["ecmp"][0] == 278 and len(a["ecmp"][1]) == 5
+        assert sum(hits for hits, *_ in a["nodes"].values()) > 0
+
+    def test_membership_changes_between_batches_invalidate_the_tables(self):
+        """Drain a server from ECMP, drop a cache node, restore the server:
+        each batch after a change must route and home like the scalar loop,
+        which reads the member list directly."""
+        batched, scalar = _twin_worlds(num_hostnames=24, num_servers=5)
+        names = sorted(batched.dc.servers)
+        steps = (
+            lambda dc: None,
+            lambda dc: dc.ecmp.remove_server(names[1]),
+            lambda dc: dc.cache.remove_node(names[2]),
+            lambda dc: dc.ecmp.add_server(names[1]),
+        )
+        for seed, change in enumerate(steps, start=10):
+            change(batched.dc)
+            change(scalar.dc)
+            a, b = self._drive(batched, scalar, self._flows(batched, 150, seed), hashes=True)
+            assert a == b
+            if seed == 11:
+                assert names[1] not in a["owners"]
+            if seed >= 12:
+                assert names[2] not in {served_by for _, _, served_by, _, _ in a["responses"]}
+        assert names[1] in a["owners"]  # restored, and routed to again
+
+    def test_crash_mid_batch_folds_the_choices_reached_and_no_more(self):
+        batched, scalar = _twin_worlds(num_hostnames=24, num_servers=5)
+        flows = self._flows(batched, 120, seed=20)
+        requests = [request for request, _ in flows]
+        victim = batched.dc.ecmp.choose(flow_hash_tuple(requests[40][0]))
+        reached = next(i for i, (t5, _, _) in enumerate(requests)
+                       if batched.dc.ecmp.choose(flow_hash_tuple(t5)) == victim)
+        for world in (batched, scalar):
+            world.dc.crash_server(victim)
+        with pytest.raises(ConnectionRefusedError):
+            batched.dc.connect_batch(requests)
+        with pytest.raises(ConnectionRefusedError):
+            for request in requests:
+                scalar.dc.connect(*request)
+        assert self._surface(batched, [], []) == self._surface(scalar, [], [])
+        assert batched.dc.ecmp.stats.routed == reached + 1 < len(requests)
+        assert batched.dc.connection_count() == reached
+
+    @pytest.mark.parametrize("knobs", [
+        {"ingress_loss": 0.3},
+        {"capacity": 25},
+        {"ingress_loss": 0.2, "capacity": 40},
+    ], ids=["lossy", "capped", "both"])
+    def test_gated_ingress_drops_the_same_syns_with_the_same_draws(self, knobs):
+        """A dropped or shed SYN refuses the batch at that flow: its ECMP
+        choice is not counted, and the chaos RNG has drawn exactly once per
+        SYN that reached the gate — in both arms."""
+        batched, scalar = _twin_worlds(num_hostnames=24, num_servers=5)
+        for world in (batched, scalar):
+            for knob, value in knobs.items():
+                setattr(world.dc, knob, value)
+        requests = [request for request, _ in self._flows(batched, 90, seed=30)]
+        rest = requests
+        while rest:  # resume after each refusal, skipping the refused SYN
+            before = batched.dc.connection_count()
+            try:
+                batched.dc.connect_batch(rest)
+                rest = []
+            except ConnectionRefusedError:
+                rest = rest[batched.dc.connection_count() - before + 1:]
+        conns_b = []
+        for request in requests:
+            try:
+                conns_b.append(scalar.dc.connect(*request))
+            except ConnectionRefusedError:
+                pass
+        surface = self._surface(batched, [], [])
+        assert surface == self._surface(scalar, [], [])
+        assert batched.dc.connection_count() == len(conns_b) == surface["ecmp"][0]
+        assert 0 < len(conns_b) < len(requests)

@@ -8,9 +8,15 @@ fold, and how the engine surfaces through ``repro.obs``.
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+
 import pytest
 
+from repro import hashing
 from repro.core.policy import Policy
+from repro.edge import cache as edge_cache
+from repro.edge import ecmp
 from repro.experiments.flow_perf import (
     build_flow_world,
     make_flow_columns,
@@ -19,9 +25,12 @@ from repro.experiments.flow_perf import (
 )
 from repro.flow import FlowBatch, default_backend
 from repro.netsim import parse_address
+from repro.netsim.packet import Packet
 from repro.obs import MetricsRegistry
 from repro.obs.adapters import watch_flow_engine
+from repro.sockets import socktable
 from repro.sockets.lookup import LookupStage
+from repro.web.http import Response
 from repro.workload.traffic import RequestStream
 
 
@@ -189,3 +198,60 @@ class TestFlowWorkload:
         assert run_scalar(world, _columns(world, n=24, batch_size=8)) == 24
         # The control arm never folds engine stats.
         assert world.engine.stats.flows == 0
+
+
+class TestCallCounts:
+    """What one batch may cost, as exact counts (the PR 17 idiom: wrap by
+    module or class attribute, the way ``benchmarks/e2e/trace.py`` does).
+
+    The rendezvous picks and content-key hashes run as columns, so the
+    scalar functions are never entered; every flow is wrapped in a packet
+    twice (its SYN, its request) and answered with one response, plus one
+    more per origin fetch; and no receive queue is allocated for a child
+    nothing is delivered to."""
+
+    FLOWS = 1024
+
+    @contextmanager
+    def _counted(self):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch:
+            # ``pick`` / ``fnv1a64`` are bound by name where they are used.
+            for module in (hashing, ecmp, edge_cache):
+                for name in ("splitmix64", "pick", "fnv1a64"):
+                    if name in vars(module):
+                        patch.setattr(module, name, counting(name, vars(module)[name]))
+            for cls in (Packet, Response):
+                patch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+            patch.setattr(socktable, "deque", counting("deque", socktable.deque))
+            yield calls
+
+    def test_one_batch_hashes_by_column_and_builds_each_object_once(self):
+        world = build_flow_world(num_hostnames=64, num_servers=8)
+        warm, timed = make_flow_columns(world, 2 * self.FLOWS, seed=5, batch_size=self.FLOWS)
+        world.engine.run_batch(FlowBatch(*warm))
+        origins = world.universe.origins.origins()
+        fetched = sum(origin.requests for origin in origins)
+        with self._counted() as calls:
+            batch = world.engine.run_batch(FlowBatch(*timed))
+        fetched = sum(origin.requests for origin in origins) - fetched
+        assert all(status == 200 for status in batch.statuses)
+        assert 0 < fetched < self.FLOWS  # hits and misses both rode along
+        assert dict(calls) == {"Packet": 2 * self.FLOWS, "Response": self.FLOWS + fetched}
+
+    def test_the_scalar_path_is_what_the_counters_would_have_caught(self):
+        """The same wrappers around ``run_scalar``: the pins above are not
+        vacuous — the scalar seams do enter every counted function."""
+        world = build_flow_world(num_hostnames=64, num_servers=8)
+        (columns,) = make_flow_columns(world, 64, seed=5, batch_size=64)
+        with self._counted() as calls:
+            world.engine.run_scalar(*columns)
+        assert calls["pick"] == 2 * 64 and calls["fnv1a64"] == 64
+        assert calls["splitmix64"] == 2 * 64 * 8

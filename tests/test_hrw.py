@@ -3,15 +3,30 @@
 ECMP choices must be bit-identical to the pre-seed implementation (kept
 here, verbatim, as the reference); the cache's placement formula changed
 once, so it is pinned by its properties instead — minimal disruption and
-balance over similarly named nodes.
+balance over similarly named nodes.  The column forms (``pick_column``,
+``fnv1a64_column``) are pinned bit for bit against the scalar ones.
 """
 
 import random
 from collections import Counter
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.edge.cache import DistributedCache
 from repro.edge.ecmp import ECMPRouter
-from repro.hashing import fnv1a64, pick, splitmix64
+from repro.hashing import (
+    fnv1a64,
+    fnv1a64_column,
+    hrw_seed,
+    hrw_table,
+    pick,
+    pick_column,
+    splitmix64,
+)
+from repro.web.http import Request
 from repro.web.origin import OriginPool
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -37,15 +52,17 @@ def _ref_choose(servers: list[str], fh: int) -> str:
     return max(servers, key=lambda s: (_ref_hrw_weight(s, fh), s))
 
 
+_STYLES = (
+    lambda i: f"s{i}",
+    lambda i: f"bench-pop-srv{i:02d}",
+    lambda i: f"dc-ams-rack{i // 4}-srv{i % 4}.internal.example.net",
+    lambda i: f"σερβερ-{i}",
+)
+
+
 def _member_sets(rng: random.Random) -> list[list[str]]:
-    styles = (
-        lambda i: f"s{i}",
-        lambda i: f"bench-pop-srv{i:02d}",
-        lambda i: f"dc-ams-rack{i // 4}-srv{i % 4}.internal.example.net",
-        lambda i: f"σερβερ-{i}",
-    )
     sets = []
-    for style in styles:
+    for style in _STYLES:
         for size in (1, 2, 3, 8, 16, 33):
             names = [style(i) for i in range(size)]
             rng.shuffle(names)
@@ -161,3 +178,96 @@ class TestCachePlacement:
         loads = Counter(cache.home_node(key).name for key in keys)
         assert len(loads) == 8
         assert max(loads.values()) / (20_000 / 8) <= 1.06
+
+
+# -- column forms ≡ scalar forms, bit for bit -------------------------------------
+
+_key_hashes = st.lists(
+    st.one_of(st.integers(0, _MASK64), st.sampled_from([0, 1, 1 << 63, _MASK64])),
+    max_size=40,
+)
+
+
+class TestPickColumn:
+    """``pick_column`` over a prepared ``hrw_table`` against ``pick`` per
+    key — the scalar loop is the reference, and stays one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(style=st.sampled_from(_STYLES), size=st.integers(1, 33),
+           order=st.randoms(use_true_random=False), keys=_key_hashes)
+    def test_matches_pick_per_key(self, style, size, order, keys):
+        names = [style(i) for i in range(size)]
+        order.shuffle(names)
+        members = [hrw_seed(name) for name in names]
+        assert pick_column(hrw_table(members), keys) == [pick(members, k) for k in keys]
+
+    @settings(max_examples=60, deadline=None)
+    @given(style=st.sampled_from(_STYLES), size=st.integers(2, 33),
+           drained=st.integers(0, 32), keys=_key_hashes)
+    def test_routers_follow_a_drain_and_restore(self, style, size, drained, keys):
+        """``remove_server`` / ``add_server`` rebuild the prepared table:
+        ``choose_many`` tracks ``choose`` through all three memberships."""
+        names = [style(i) for i in range(size)]
+        router, victim = ECMPRouter(names), names[drained % size]
+        original = router.choose_many(keys)
+        assert original == [router.choose(k) for k in keys]
+        router.remove_server(victim)
+        assert victim not in router.choose_many(keys)
+        assert router.choose_many(keys) == [router.choose(k) for k in keys]
+        router.add_server(victim)  # now last in the member list
+        assert router.choose_many(keys) == original
+
+    def test_tied_weights_break_on_the_name_in_either_list_order(self):
+        """The construction of ``test_tied_weights_match_the_reference_tie_break``:
+        the column's first maximum must be the greatest tied name."""
+        rng = random.Random(0x71E)
+        for _ in range(200):
+            names = rng.sample("abcdefghij", rng.randint(2, 6))
+            seed = rng.getrandbits(64)
+            keys = [rng.getrandbits(64) for _ in range(8)]
+            members = [(seed if i % 2 else seed ^ 1, n) for i, n in enumerate(names)]
+            expected = [pick(members, k) for k in keys]
+            assert pick_column(hrw_table(members), keys) == expected
+            assert pick_column(hrw_table(members[::-1]), keys) == expected
+            # All seeds equal: every key ties across the board.
+            flat = [(seed, n) for n in names]
+            assert pick_column(hrw_table(flat), keys) == [max(names)] * len(keys)
+
+    def test_cache_home_nodes_follow_membership(self):
+        names = [f"pop-srv{i:02d}" for i in range(8)]
+        cache = _cache(names)
+        requests = [Request(host, path) for host, path in _keys(600)]
+        requests.append(Request("WWW.Site-0001.Example.COM.", "/asset/1"))  # keyed canonically
+
+        def scalar():
+            return [cache.home_node((r.authority.lower().rstrip("."), r.path)) for r in requests]
+
+        assert cache.home_nodes(requests) == scalar()
+        assert cache.home_nodes(requests)[-1] is cache.home_nodes(requests)[1]
+        cache.remove_node("pop-srv03")
+        assert cache.home_nodes(requests) == scalar()
+        assert "pop-srv03" not in {node.name for node in cache.home_nodes(requests)}
+        cache.add_node("pop-srv03")
+        assert cache.home_nodes(requests) == scalar()
+        assert cache.home_nodes([]) == []
+
+
+class TestFnvColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(datas=st.lists(st.binary(max_size=300), max_size=24))
+    def test_matches_fnv1a64_per_string(self, datas):
+        column = fnv1a64_column(datas)
+        assert column.dtype == np.uint64
+        assert column.tolist() == [fnv1a64(data) for data in datas]
+
+    @pytest.mark.parametrize("datas", [
+        [],
+        [b""],
+        [b"", b"", b""],
+        [b"same-length-a", b"same-length-b", b"same-length-c"],
+        [b"", b"x", b"y" * 300, b"", b"z" * 7],
+        ["σερβερ.example.com".encode() + b"\xff" + "/π".encode(),
+         "bücher.example".encode() + b"\xff/"],
+    ], ids=["empty-column", "one-empty", "all-empty", "equal", "unequal", "non-ascii"])
+    def test_shapes(self, datas):
+        assert fnv1a64_column(datas).tolist() == [fnv1a64(data) for data in datas]

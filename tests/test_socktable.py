@@ -151,6 +151,22 @@ class TestEstablishAndQueues:
         with pytest.raises(AddressInUseError):
             table.establish(listener, t)
 
+    def test_refused_duplicates_leave_no_orphan_socket(self):
+        """The 4-tuple is checked before the child is created: a refusal
+        used to leave the child registered (and charged for) forever."""
+        table = SocketTable()
+        listener = table.bind_listen(Protocol.TCP, A1, 80)
+        t = tuple5()
+        child = table.establish(listener, t)
+        memory = table.memory_bytes()
+        for _ in range(3):
+            with pytest.raises(AddressInUseError):
+                table.establish(listener, t)
+        assert table.sockets() == [listener, child]
+        assert table.memory_bytes() == memory == 2 * SOCKET_MEM_BYTES
+        assert table.connected_count() == 1
+        assert table.find_connected(Packet(t)) is child
+
     def test_establish_requires_listening(self):
         table = SocketTable()
         sock = table.socket(Protocol.TCP)
@@ -192,6 +208,23 @@ class TestEstablishAndQueues:
             sock.deliver(pkt)
         assert len(sock.drain(3)) == 3
         assert len(sock.drain()) == 2
+
+    def test_receive_queue_exists_only_once_touched(self):
+        """A connected child nothing is delivered to never pays for a queue;
+        deliver, drain and the depth-1024 drop behave the same from cold."""
+        table = SocketTable()
+        listener = table.bind_listen(Protocol.TCP, A1, 80)
+        idle, busy = (table.establish(listener, tuple5(sport=p)) for p in (40001, 40002))
+        assert idle._queue is None and busy._queue is None
+        assert idle.drain() == [] and idle.drain(3) == [] and idle._queue is None
+        pkt = Packet(tuple5(sport=40002))
+        assert busy.deliver(pkt) and busy._queue is not None
+        assert len(busy.queue) == 1 and busy.queue.maxlen == RECEIVE_QUEUE_DEPTH
+        assert busy.drain() == [pkt] and busy.drain() == []
+        for _ in range(RECEIVE_QUEUE_DEPTH + 5):
+            busy.deliver(pkt)
+        assert (busy.enqueued, busy.dropped) == (RECEIVE_QUEUE_DEPTH + 1, 5)
+        assert len(idle.queue) == 0  # reading it is a touch: allocated, empty
 
     def test_per_ip_isolation_under_flood(self):
         """Footnote 2: one-socket-per-IP isolates a flood to one queue."""
