@@ -26,10 +26,8 @@ from repro.analysis.reporting import TextTable
 from repro.experiments.flow_perf import build_flow_world
 from repro.flow import FlowBatch
 from repro.netsim.addr import IPAddress
-from repro.netsim.packet import Packet
 from repro.obs import MetricsRegistry
 from repro.obs.adapters import watch_flow_engine
-from repro.sockets.lookup import flow_hash_tuple
 from repro.web.http import Request
 
 N_HOSTNAMES = 128
@@ -89,7 +87,7 @@ def _rate(fn, n_items, fresh=None):
     return n_items / best
 
 
-def _save_stage(save_bench, rates, stage, batched_fps, scalar_fps, **extra):
+def _save_stage(save_bench, rates, stage, batched_fps, scalar_fps):
     rates[f"{stage}-batched"] = batched_fps
     rates[f"{stage}-scalar"] = scalar_fps
     speedup = batched_fps / scalar_fps
@@ -99,30 +97,7 @@ def _save_stage(save_bench, rates, stage, batched_fps, scalar_fps, **extra):
         batched_fps=batched_fps,
         scalar_fps=scalar_fps,
         batch_speedup=speedup,
-        **extra,
     )
-
-
-def test_hash_stage(world, rates, save_bench, benchmark):
-    """The flow-hash column: one vectorised pass versus a per-tuple loop."""
-    tuples = _connected_batch(world, N_FLOWS).tuple5s
-    loops = 8
-    backend = world.engine.backend
-
-    def batched():
-        for _ in range(loops):
-            backend.hash_tuples(tuples)
-
-    def scalar():
-        for _ in range(loops):
-            for t in tuples:
-                flow_hash_tuple(t)
-
-    batched_fps = _rate(batched, loops * N_FLOWS)
-    scalar_fps = _rate(scalar, loops * N_FLOWS)
-    _save_stage(save_bench, rates, "hash", batched_fps, scalar_fps,
-                backend=1.0 if backend.name == "numpy" else 0.0)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def test_connect_stage(world, rates, save_bench, benchmark):
@@ -144,45 +119,18 @@ def test_connect_stage(world, rates, save_bench, benchmark):
         return (_resolved_batch(world, N_FLOWS),)
 
     def scalar(batch):
+        owners = []  # the batched arm fills a ``servers`` column too
         for i in batch.resolved_indices():
             t5 = FiveTuple(
                 transport, batch.src_addrs[i], batch.src_ports[i],
                 batch.addresses[i], engine.port,
             )
-            conn = dc.connect(
-                t5, ClientHello(sni=batch.hostnames[i]), engine.version
-            )
-            dc.connection_owner(conn.conn_id)
+            conn = dc.connect(t5, ClientHello(sni=batch.hostnames[i]), engine.version)
+            owners.append(conn.owner)
 
     batched_fps = _rate(engine.connect_stage, N_FLOWS, fresh=batched)
     scalar_fps = _rate(scalar, N_FLOWS, fresh=scalar_args)
     _save_stage(save_bench, rates, "connect", batched_fps, scalar_fps)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_dispatch_stage(world, rates, save_bench, benchmark):
-    """Request-packet dispatch on established flows, grouped by owner."""
-    engine = world.engine
-    servers = world.dc.servers
-    batch = _connected_batch(world, N_FLOWS)
-    loops = 8
-
-    def batched():
-        for _ in range(loops):
-            engine.dispatch_stage(batch)
-
-    def scalar():
-        for _ in range(loops):
-            for i in range(len(batch)):
-                servers[batch.servers[i]].dispatch(
-                    Packet(batch.tuple5s[i]),
-                    deliver=False,
-                    flow_hash=batch.flow_hashes[i],
-                )
-
-    batched_fps = _rate(batched, loops * N_FLOWS)
-    scalar_fps = _rate(scalar, loops * N_FLOWS)
-    _save_stage(save_bench, rates, "dispatch", batched_fps, scalar_fps)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
@@ -230,7 +178,7 @@ def test_end_to_end(world, rates, save_bench, benchmark):
 
 
 def test_flow_throughput_report(world, rates, save_table, save_bench, benchmark):
-    stages = ("hash", "connect", "dispatch", "serve", "end_to_end")
+    stages = ("connect", "serve", "end_to_end")
     assert {f"{stage}-speedup" for stage in stages} <= set(rates)
     table = TextTable(
         "Columnar flow engine: batched vs scalar throughput "

@@ -18,14 +18,14 @@ those:
                          behind one rule (first match is an index lookup,
                          so the rate must be flat in table size)
 
-``flow_hash`` / ``flow_connect`` / ``flow_dispatch`` / ``flow_serve`` /
-``flow_end_to_end``
+``flow_connect`` / ``flow_serve`` / ``flow_end_to_end``
     ``batch_speedup``  — columnar flow-engine stage throughput over the
                          loop-of-scalars reference (``bench_flow_engine``;
-                         resolve has one path and no ratio; a batch seam
-                         that stays must earn its keep, so the connect /
-                         serve / end-to-end floors are ROADMAP item 2's
-                         bar, not "never slower than scalar")
+                         resolve, hash and dispatch have no ratio — one
+                         path, or a second kept only as the test
+                         reference; a batch seam that stays must earn its
+                         keep, so the floors are ROADMAP item 2's bar, not
+                         "never slower than scalar")
 
 ``readdressing``
     ``drill_vs_soak``  — fetch throughput with a staged-shrink campaign
@@ -73,16 +73,7 @@ GATED: dict[str, dict[str, dict[str, float]]] = {
     # batch, one SYN packet and one response per flow — and are held to
     # "every batch seam that survives earns >= 1.5x" (connect, whose
     # per-flow handshake the column does not touch, to 1.3x).
-    "flow_hash": {"batch_speedup": {"floor": 1.0, "tolerance": 0.30}},
     "flow_connect": {"batch_speedup": {"floor": 1.3, "tolerance": 0.25}},
-    # flow_dispatch read 1.8-2.0 while ``SkLookupProgram.compiled()`` ran a
-    # function-level import on every scalar dispatch and once per batch.
-    # With the import gone the scalar arm doubled and the two arms are
-    # within noise of each other (0.86-1.27, median 1.18, over eight runs):
-    # the old 1.2 floor measured the import, not the seam.  What is left
-    # to defend until ROADMAP item 2(b) decides ``dispatch_batch``'s fate
-    # is that batching does not lose.
-    "flow_dispatch": {"batch_speedup": {"floor": 0.9, "tolerance": 0.30}},
     "flow_serve": {"batch_speedup": {"floor": 1.5, "tolerance": 0.25}},
     "flow_end_to_end": {"batch_speedup": {"floor": 1.5, "tolerance": 0.25}},
     # Real-socket pool (bench_serve_qps): multi-worker / single-worker UDP

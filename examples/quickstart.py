@@ -54,7 +54,8 @@ def main() -> None:
     sock_map = SockArray(1)
     sock_map.update(0, service)
     program = SkLookupProgram("steer-pool", sock_map, [
-        MatchRule(Verdict.PASS, Protocol.TCP, (pool_prefix,), 443, 443, map_key=0),
+        MatchRule(Verdict.PASS, Protocol.TCP, (pool_prefix,), 443, 443, map_key=0,
+                  label="service-pool"),
     ])
     path = LookupPath(table)
     path.attach(program)
@@ -71,9 +72,9 @@ def main() -> None:
 
     print("\n== runtime re-point: same socket, new prefix ==")
     new_prefix = parse_prefix("203.0.113.0/24")
-    program.remove_rules("")
+    program.remove_rules("service-pool")
     program.add_rule(MatchRule(Verdict.PASS, Protocol.TCP, (new_prefix,),
-                               443, 443, map_key=0))
+                               443, 443, map_key=0, label="service-pool"))
     moved = Packet(FiveTuple(Protocol.TCP, parse_address("100.64.9.9"),
                              50001, new_prefix.address_at(5), 443), syn=True)
     print(f"  SYN to {new_prefix.address_at(5)}:443 -> "

@@ -116,54 +116,12 @@ class PolicyAnswerSource(AnswerSource):
     def answer_batch(
         self, questions: Sequence[Question], context: QueryContext
     ) -> list[Answer]:
-        """Batched :meth:`answer`: one policy-engine batch call; each
-        answer is built and logged by the helpers the scalar path uses.
-
-        A traced source stays on the per-question path — spans are a
-        per-query artefact, and batching them would change the recorded
-        topology (this is a documented batch-of-one delegation exception;
-        see DESIGN.md §12).  The untraced hot path evaluates every
-        policy-eligible question through one
-        :meth:`~repro.core.policy.PolicyEngine.evaluate_batch` call; the
-        RNG draw order matches the scalar loop because fallback answers
-        never touch the engine RNG.
-        """
-        if self.tracer is not None:
-            answer = self.answer
-            return [answer(question, context) for question in questions]
-
-        registry = self.registry
-        pop = context.pop
-        client_subnet = context.client_subnet
-        attrs_list: list[PolicyAttributes] = []
-        eligible: list[int] = []
-        for i, question in enumerate(questions):
-            if question.rrtype not in (RRType.A, RRType.AAAA):
-                continue
-            hostname = str(question.name).rstrip(".")
-            account = registry.account_type_for(hostname)
-            attrs_list.append(
-                PolicyAttributes(
-                    pop=pop,
-                    account_type=account.value if account is not None else None,
-                    family=IPv4 if question.rrtype == RRType.A else IPv6,
-                    hostname=hostname,
-                    client_subnet=client_subnet,
-                )
-            )
-            eligible.append(i)
-
-        decisions: dict[int, PolicyDecision | None] = dict(
-            zip(eligible, self.engine.evaluate_batch(attrs_list))
-        )
-        answers: list[Answer] = []
-        for i, question in enumerate(questions):
-            decision = decisions.get(i)
-            if decision is not None:
-                answers.append(self._policy_answer(question, decision))
-            else:
-                answers.append(self._fall_through(question, context))
-        return answers
+        """:meth:`answer` for many questions sharing one context, in
+        question order — the loop, nothing hoisted: first match is an
+        index probe per query (:class:`~repro.core.policy.PolicyIndex`),
+        so there is no per-batch work left to share."""
+        answer = self.answer
+        return [answer(question, context) for question in questions]
 
     # -- internals -------------------------------------------------------------
 

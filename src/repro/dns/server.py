@@ -21,7 +21,6 @@ verify at the wire level.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from ..netsim.addr import IPAddress
@@ -86,18 +85,6 @@ class AnswerSource:
 
     def answer(self, question: Question, context: QueryContext) -> Answer:
         raise NotImplementedError
-
-    def answer_batch(
-        self, questions: Sequence[Question], context: QueryContext
-    ) -> list[Answer]:
-        """Answer many questions sharing one context; in question order.
-
-        The default is the scalar loop, so every source is batch-callable;
-        sources with per-query overhead worth hoisting (the policy engine)
-        override this with a columnar implementation.
-        """
-        answer = self.answer
-        return [answer(question, context) for question in questions]
 
 
 class ZoneAnswerSource(AnswerSource):

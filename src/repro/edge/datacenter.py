@@ -18,11 +18,11 @@ from ..netsim.addr import IPAddress, Prefix
 from ..netsim.geo import GeoPoint
 from ..netsim.packet import FiveTuple, Packet, Protocol
 from ..sockets.errors import BatchShapeError
-from ..sockets.lookup import flow_hash, flow_hash_tuple
+from ..sockets.lookup import flow_hash_tuple
 from ..web.http import Connection, HTTPVersion, Request, Response
 from ..web.origin import OriginPool
 from ..web.tls import CertificateStore, ClientHello
-from .cache import DistributedCache
+from .cache import CacheNode, DistributedCache
 from .customers import CustomerRegistry
 from .ecmp import ECMPRouter
 from .l4lb import L4LoadBalancer
@@ -220,11 +220,7 @@ class Datacenter:
         #: ``CDN.attach_observability``): when present, every connection
         #: emits ecmp → dispatch spans and every request a serve span.
         self.tracer = None
-        self._conn_owner: dict[int, str] = {}
-        self._conn_trace: dict[int, str] = {}
-        # Per-connection sampling decision: requests inherit it so the
-        # traffic log stays flow-coherent (see TrafficLog).
-        self._conn_sampled: dict[int, bool] = {}
+        self._connections = 0
 
     # -- configuration -----------------------------------------------------
 
@@ -316,27 +312,15 @@ class Datacenter:
         The flow hash is computed exactly once per SYN and reused for both
         ECMP fan-out and (inside the server's handshake) listener
         selection; it used to be recomputed at each stage.
+
+        The one-flow entry to :meth:`_connect`, with no ECMP column: a
+        single flow takes the scalar rendezvous pick
+        (:meth:`~repro.edge.ecmp.ECMPRouter.choose`, ~7 µs), which is
+        cheaper than setting up a one-row matrix (~17 µs).
         """
-        self._admit_ingress(tuple5)
-        syn = Packet(tuple5, syn=True)
-        fh = flow_hash(syn)
-        if self.tracer is None:
-            ecmp_choice = self.ecmp.route(syn, flow_hash_value=fh)
-            owner = self.l4lb.admit(syn, ecmp_choice)
-            connection = self.servers[owner].handshake(tuple5, hello, version, flow_hash=fh)
-        else:
-            trace = self.tracer.next_trace_id(f"conn@{self.name}")
-            with self.tracer.span(trace, "ecmp"):
-                ecmp_choice = self.ecmp.route(syn, flow_hash_value=fh)
-            # sk_lookup steering and TLS termination both happen inside
-            # the server's handshake — one span covers the dispatch hop.
-            with self.tracer.span(trace, "dispatch", ecmp_choice):
-                owner = self.l4lb.admit(syn, ecmp_choice)
-                connection = self.servers[owner].handshake(tuple5, hello, version, flow_hash=fh)
-            self._conn_trace[connection.conn_id] = trace
-        self._conn_owner[connection.conn_id] = owner
-        self._conn_sampled[connection.conn_id] = self.traffic.record_connection(tuple5.dst)
-        return connection
+        return self._connect(
+            ((tuple5, hello, version),), (flow_hash_tuple(tuple5),), (None,)
+        )[0]
 
     def connect_batch(
         self,
@@ -353,10 +337,9 @@ class Datacenter:
         engine computed up front (one vectorised pass over the whole
         batch); a mismatched column raises :class:`BatchShapeError`.
 
-        Semantics match :meth:`connect` in a loop, minus per-connection
-        trace spans (batch callers are throughput experiments; span
-        recording per packet would dominate what they measure).  Counter
-        parity holds under partial failure too: the folds run in a
+        Semantics are :meth:`connect` in a loop — it *is* the same loop,
+        :meth:`_connect`, trace spans included when a tracer is attached.
+        Counter parity holds under partial failure too: the folds run in a
         ``finally``, and within each item accounting is ordered as the
         scalar path orders it — the ECMP choice counts once the SYN is past
         the ingress gate, even when the handshake then refuses (choices
@@ -372,89 +355,112 @@ class Datacenter:
                 "connect_batch", "flow_hashes must parallel requests",
                 {"requests": len(requests), "flow_hashes": len(flow_hashes)},
             )
-        choices = self.ecmp.choose_many(flow_hashes)
+        return self._connect(requests, flow_hashes, self.ecmp.choose_many(flow_hashes))
+
+    def _connect(
+        self,
+        requests: Sequence[tuple[FiveTuple, ClientHello, HTTPVersion]],
+        flow_hashes: Sequence[int],
+        choices: Sequence[str | None],
+    ) -> list[Connection]:
+        """The ingress loop under :meth:`connect` and :meth:`connect_batch`.
+
+        ``choices`` is the ECMP column, parallel to ``requests``; a ``None``
+        entry is picked here, per flow.  What the datacenter knows about a
+        connection — its owner (set by the handshake), its sampling
+        decision, its trace id — is stored on the
+        :class:`~repro.web.http.Connection` itself.
+        """
         # Ungated ingress admits everything and draws nothing from the RNG.
         gated = bool(self.ingress_loss) or self.capacity is not None
+        tracer = self.tracer
+        choose = self.ecmp.choose
         admit = self.l4lb.admit
         servers = self.servers
-        conn_owner = self._conn_owner
-        routed = 0
-        dsts: list[IPAddress] = []
+        routed: list[str] = []
         connections: list[Connection] = []
-        append = connections.append
         try:
-            for (tuple5, hello, version), fh, ecmp_choice in zip(requests, flow_hashes, choices):
+            for (tuple5, hello, version), fh, choice in zip(requests, flow_hashes, choices):
                 if gated:
                     self._admit_ingress(tuple5)
-                routed += 1
                 syn = Packet(tuple5, syn=True)
-                owner = admit(syn, ecmp_choice)
-                connection = servers[owner].handshake(
-                    tuple5, hello, version, flow_hash=fh, syn=syn
-                )
-                conn_owner[connection.conn_id] = owner
-                dsts.append(tuple5.dst)
-                append(connection)
+                if tracer is None:
+                    if choice is None:
+                        choice = choose(fh)
+                    routed.append(choice)
+                    connection = servers[admit(syn, choice)].handshake(
+                        tuple5, hello, version, flow_hash=fh, syn=syn
+                    )
+                else:
+                    trace = tracer.next_trace_id(f"conn@{self.name}")
+                    with tracer.span(trace, "ecmp"):
+                        if choice is None:
+                            choice = choose(fh)
+                        routed.append(choice)
+                    # sk_lookup steering and TLS termination both happen inside
+                    # the server's handshake — one span covers the dispatch hop.
+                    with tracer.span(trace, "dispatch", choice):
+                        connection = servers[admit(syn, choice)].handshake(
+                            tuple5, hello, version, flow_hash=fh, syn=syn
+                        )
+                    connection.trace = trace
+                connections.append(connection)
         finally:
-            self.ecmp.stats.fold(choices[:routed])
-            sampled = self.traffic.record_connection_batch(dsts)
-            conn_sampled = self._conn_sampled
+            self.ecmp.stats.fold(routed)
+            sampled = self.traffic.record_connection_batch(
+                [connection.remote_addr for connection in connections]
+            )
             for connection, decision in zip(connections, sampled):
-                conn_sampled[connection.conn_id] = decision
+                connection.sampled = decision
+            self._connections += len(connections)
         return connections
 
     def serve(self, connection: Connection, request: Request) -> Response:
-        owner = self._conn_owner.get(connection.conn_id)
-        if owner is None:
-            raise RuntimeError(
-                f"connection {connection.conn_id} was not established at {self.name}"
-            )
-        trace = self._conn_trace.get(connection.conn_id) if self.tracer else None
-        if trace is None:
-            response = self.servers[owner].serve(connection, request)
-        else:
-            with self.tracer.span(trace, "serve", request.path):
-                response = self.servers[owner].serve(connection, request)
-        self.traffic.record_request(
-            connection.remote_addr,
-            response.body_len,
-            sampled=self._conn_sampled.get(connection.conn_id),
-        )
-        return response
+        """Serve one request on an established connection: the one-pair
+        entry to :meth:`_serve`, with no home-node column — the cache picks
+        this request's node itself, by the scalar rendezvous pick."""
+        return self._serve(((connection, request),), (None,))[0]
 
     def serve_batch(
         self, pairs: Sequence[tuple[Connection, Request]]
     ) -> list[Response]:
-        """Serve many (connection, request) pairs; ``serve`` in a loop with
-        the cache's home nodes picked as one
-        :meth:`~repro.edge.cache.DistributedCache.home_nodes` column, the
-        per-request dict probes and trace plumbing hoisted out, and the
-        traffic-log fold deferred to once per batch (in a ``finally``, so
-        requests served before a mid-batch failure are still counted, as
-        the scalar loop would have counted them)."""
-        conn_owner = self._conn_owner
-        conn_sampled = self._conn_sampled
+        """Serve many (connection, request) pairs; :meth:`serve` in a loop
+        (the same loop, :meth:`_serve`) with the cache's home nodes picked
+        as one :meth:`~repro.edge.cache.DistributedCache.home_nodes` column
+        and the traffic-log fold deferred to once per batch (in a
+        ``finally``, so requests served before a mid-batch failure are
+        still counted, as the scalar loop would have counted them)."""
+        return self._serve(pairs, self.cache.home_nodes([request for _, request in pairs]))
+
+    def _serve(
+        self,
+        pairs: Sequence[tuple[Connection, Request]],
+        homes: Sequence[CacheNode | None],
+    ) -> list[Response]:
+        """The serving loop under :meth:`serve` and :meth:`serve_batch`.
+
+        ``homes`` is the cache home-node column, parallel to ``pairs``; a
+        ``None`` entry leaves the pick to the cache.  A connection whose
+        owner is not one of this datacenter's servers was established
+        somewhere else and is refused."""
         servers = self.servers
-        homes = self.cache.home_nodes([request for _, request in pairs])
+        tracer = self.tracer
         records: list[tuple[IPAddress, int, bool | None]] = []
         responses: list[Response] = []
-        append = responses.append
         try:
             for (connection, request), home in zip(pairs, homes):
-                owner = conn_owner.get(connection.conn_id)
-                if owner is None:
+                server = servers.get(connection.owner)
+                if server is None:
                     raise RuntimeError(
                         f"connection {connection.conn_id} was not established at {self.name}"
                     )
-                response = servers[owner].serve(connection, request, home)
-                records.append(
-                    (
-                        connection.remote_addr,
-                        response.body_len,
-                        conn_sampled.get(connection.conn_id),
-                    )
-                )
-                append(response)
+                if tracer is None or connection.trace is None:
+                    response = server.serve(connection, request, home)
+                else:
+                    with tracer.span(connection.trace, "serve", request.path):
+                        response = server.serve(connection, request, home)
+                records.append((connection.remote_addr, response.body_len, connection.sampled))
+                responses.append(response)
         finally:
             self.traffic.record_request_batch(records)
         return responses
@@ -468,17 +474,5 @@ class Datacenter:
         return sum(s.socket_memory_bytes() for s in self.servers.values())
 
     def connection_count(self) -> int:
-        return len(self._conn_owner)
-
-    def connection_owner(self, conn_id: int) -> str:
-        """Which server owns an established connection.
-
-        The flow engine groups request packets by owner so each server's
-        lookup path sees one contiguous batch; a typed KeyError here beats
-        a silent miss."""
-        try:
-            return self._conn_owner[conn_id]
-        except KeyError:
-            raise KeyError(
-                f"connection {conn_id} was not established at {self.name}"
-            ) from None
+        """Connections established here so far (a count, not a table)."""
+        return self._connections

@@ -319,6 +319,7 @@ class EdgeServer:
             remote_port=tuple5.dst_port,
             certificate=certificate,
             sni=hello.sni,
+            owner=self.name,
         )
 
     def serve(self, connection: Connection, request: Request,

@@ -25,7 +25,6 @@ from ..core.pool import AddressPool
 from ..dns.cache import DNSCache
 from ..edge.datacenter import Datacenter
 from ..edge.server import ListenMode
-from ..flow.backend import default_backend
 from ..flow.batch import FlowBatch
 from ..flow.engine import FlowEngine
 from ..netsim.geo import GeoPoint
@@ -62,7 +61,6 @@ def build_flow_world(
     num_servers: int = 8,
     seed: int = 7,
     ttl: int = 300,
-    backend: str = "auto",
     pop: str = "bench-pop",
 ) -> FlowWorld:
     """A single-PoP policy deployment behind a resolver cache.
@@ -98,9 +96,7 @@ def build_flow_world(
     engine.add(Policy("randomize-all", pool, match={}, ttl=ttl))
     source = PolicyAnswerSource(engine, universe.registry)
     cache = DNSCache(clock)
-    flow_engine = FlowEngine(
-        source, cache, dc, pop, backend=default_backend(backend)
-    )
+    flow_engine = FlowEngine(source, cache, dc, pop)
     return FlowWorld(clock, universe, dc, cache, source, flow_engine)
 
 

@@ -1,4 +1,4 @@
-"""Flow-hash backends: pure Python, and an optional numpy vectorisation.
+"""Flow-hash backends: the numpy vectorisation, and its pure-Python reference.
 
 The engine computes every flow hash exactly once per batch and threads the
 column through ECMP, L4LB, listener selection, and dispatch.  The hash is
@@ -18,31 +18,19 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..netsim.packet import FiveTuple
 from ..sockets.lookup import flow_hash_tuple
 
-__all__ = [
-    "FlowHashBackend",
-    "PythonHashBackend",
-    "NumpyHashBackend",
-    "default_backend",
-]
+__all__ = ["PythonHashBackend", "NumpyHashBackend"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-class FlowHashBackend:
-    """Strategy interface: hash a column of 5-tuples."""
-
-    name = "abstract"
-
-    def hash_tuples(self, tuple5s: Sequence[FiveTuple]) -> list[int]:
-        raise NotImplementedError
-
-
-class PythonHashBackend(FlowHashBackend):
+class PythonHashBackend:
     """The reference: :func:`flow_hash_tuple` per tuple."""
 
     name = "python"
@@ -51,7 +39,7 @@ class PythonHashBackend(FlowHashBackend):
         return [flow_hash_tuple(t) for t in tuple5s]
 
 
-class NumpyHashBackend(FlowHashBackend):
+class NumpyHashBackend:
     """The FNV-1a chain vectorised over ``uint64`` columns.
 
     Each 5-tuple contributes five parts (protocol, src, sport, dst, dport);
@@ -64,13 +52,7 @@ class NumpyHashBackend(FlowHashBackend):
 
     name = "numpy"
 
-    def __init__(self) -> None:
-        import numpy  # raises ImportError where numpy is absent
-
-        self._np = numpy
-
     def hash_tuples(self, tuple5s: Sequence[FiveTuple]) -> list[int]:
-        np = self._np
         n = len(tuple5s)
         if n == 0:
             return []
@@ -90,22 +72,3 @@ class NumpyHashBackend(FlowHashBackend):
             h ^= hi
             h = h * prime
         return [int(x) for x in h]
-
-
-def default_backend(prefer: str = "auto") -> FlowHashBackend:
-    """Pick a hash backend.
-
-    ``"auto"`` uses numpy when importable, pure Python otherwise;
-    ``"numpy"`` insists (ImportError where absent); ``"python"`` forces the
-    reference.
-    """
-    if prefer == "python":
-        return PythonHashBackend()
-    if prefer == "numpy":
-        return NumpyHashBackend()
-    if prefer != "auto":
-        raise ValueError(f"unknown backend preference {prefer!r}")
-    try:
-        return NumpyHashBackend()
-    except ImportError:
-        return PythonHashBackend()

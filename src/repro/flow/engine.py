@@ -43,7 +43,7 @@ from ..netsim.packet import FiveTuple, Packet
 from ..sockets.lookup import LookupStage, flow_hash_tuple
 from ..web.http import Connection, HTTPVersion, Request, Status
 from ..web.tls import ClientHello
-from .backend import FlowHashBackend, default_backend
+from .backend import NumpyHashBackend, PythonHashBackend
 from .batch import FlowBatch
 
 __all__ = ["FlowEngine", "FlowStats"]
@@ -89,7 +89,8 @@ class FlowEngine:
     version / port:
         Connection parameters for every flow (H2/443 by default).
     backend:
-        Flow-hash backend; ``None`` picks numpy when available.
+        Flow-hash backend; ``None`` is the numpy one (tests substitute the
+        pure-Python reference).
     """
 
     def __init__(
@@ -100,7 +101,7 @@ class FlowEngine:
         pop: str,
         version: HTTPVersion = HTTPVersion.H2,
         port: int = 443,
-        backend: FlowHashBackend | None = None,
+        backend: NumpyHashBackend | PythonHashBackend | None = None,
     ) -> None:
         self.source = source
         self.cache = cache
@@ -108,7 +109,7 @@ class FlowEngine:
         self.context = QueryContext(pop=pop)
         self.version = version
         self.port = port
-        self.backend = backend or default_backend()
+        self.backend = backend or NumpyHashBackend()
         self.stats = FlowStats()
         self._fold_serve_bytes = 0
 
@@ -171,11 +172,10 @@ class FlowEngine:
             for i, t5 in zip(idx, live)
         ]
         conns = self.dc.connect_batch(requests, flow_hashes=hashes)
-        owner_of = self.dc.connection_owner
         for i, t5, fh, conn in zip(idx, live, hashes, conns):
             tuple5s[i] = t5
             flow_hashes[i] = fh
-            servers[i] = owner_of(conn.conn_id)
+            servers[i] = conn.owner
             connections[i] = conn
 
         batch.set_column("tuple5s", tuple5s)
@@ -184,9 +184,10 @@ class FlowEngine:
         batch.set_column("connections", connections)
         return batch
 
-    def dispatch_stage(self, batch: FlowBatch, deliver: bool = False) -> FlowBatch:
-        """Dispatch one request packet per established flow, grouped by
-        owning server, reusing the connect stage's hash column."""
+    def dispatch_stage(self, batch: FlowBatch) -> FlowBatch:
+        """Dispatch one request packet per established flow (lookup only,
+        nothing is queued), grouped by owning server, reusing the connect
+        stage's hash column."""
         stages: list[LookupStage | None] = [None] * len(batch)
         groups: dict[str, tuple[list[int], list[Packet], list[int]]] = {}
         for i in batch.connected_indices():
@@ -201,7 +202,7 @@ class FlowEngine:
         servers = self.dc.servers
         for owner, (idxs, packets, hashes) in groups.items():
             results = servers[owner].dispatch_batch(
-                packets, deliver=deliver, flow_hashes=hashes
+                packets, deliver=False, flow_hashes=hashes
             )
             for i, result in zip(idxs, results):
                 stages[i] = result.stage
@@ -307,7 +308,7 @@ class FlowEngine:
             flow_hashes[i] = flow_hash_tuple(t5)
             conn = self.dc.connect(t5, ClientHello(sni=hostnames[i]), self.version)
             connections[i] = conn
-            servers[i] = self.dc.connection_owner(conn.conn_id)
+            servers[i] = conn.owner
 
         dc_servers = self.dc.servers
         for i, conn in enumerate(connections):

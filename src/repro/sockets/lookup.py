@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from ..netsim.packet import FiveTuple, Packet
 from .errors import BatchShapeError, ProgramNotAttachedError
@@ -216,18 +217,13 @@ class LookupPath:
         results: list[DispatchResult] = []
         append = results.append
         try:
-            if flow_hashes is None:
-                for packet in packets:
-                    result = lookup(packet, runners, None)
-                    append(result)
-                    if deliver and result.socket is not None:
-                        result.socket.deliver(packet)
-            else:
-                for packet, fh in zip(packets, flow_hashes):
-                    result = lookup(packet, runners, fh)
-                    append(result)
-                    if deliver and result.socket is not None:
-                        result.socket.deliver(packet)
+            # Without a hash column a lookup hashes for itself, if it gets that far.
+            hashes = repeat(None) if flow_hashes is None else flow_hashes
+            for packet, fh in zip(packets, hashes):
+                result = lookup(packet, runners, fh)
+                append(result)
+                if deliver and result.socket is not None:
+                    result.socket.deliver(packet)
         finally:
             # Fold in a finally so a mid-batch failure (a program raising)
             # leaves the same counters a scalar loop would have left for

@@ -94,6 +94,12 @@ class Connection:
     ``certificate`` is what the server presented; ``remote_addr`` is the IP
     the client dialled.  ``authorities`` records every hostname that has
     been requested over it — breadth of coalescing in practice.
+
+    What the terminating datacenter knows about the connection rides on
+    it too, so there is no per-connection table to keep (or to evict):
+    ``owner`` is the edge server that ran the handshake, ``sampled`` the
+    traffic log's flow-coherent sampling decision, ``trace`` the id its
+    spans are recorded under when a tracer was attached at connect time.
     """
 
     version: HTTPVersion
@@ -106,6 +112,9 @@ class Connection:
     bytes: int = 0
     authorities: set[str] = field(default_factory=set)
     closed: bool = False
+    owner: str = ""
+    sampled: bool | None = None
+    trace: str | None = None
 
     @property
     def transport(self) -> Protocol:

@@ -2,7 +2,7 @@
 
 from .clients import ClientPopulation, PopulationConfig
 from .hostnames import HostnameUniverse, UniverseConfig, lognormal_sizes
-from .traffic import PageView, RequestStream, Session, SessionGenerator, batched
+from .traffic import PageView, RequestStream, Session, SessionGenerator
 from .zipf import ZipfDistribution
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "Session",
     "SessionGenerator",
     "ZipfDistribution",
-    "batched",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections.abc import Iterator
+from itertools import islice
 
 from ..netsim.addr import IPAddress
 from .hostnames import HostnameUniverse
@@ -26,33 +27,11 @@ __all__ = [
     "PageView",
     "Session",
     "SessionGenerator",
-    "batched",
 ]
 
 #: Client sources are synthesised in CGNAT space (RFC 6598, 100.64/10),
 #: matching how the CDN transport fabricates eyeball addresses.
 _CLIENT_SRC_BASE = 0x64400000  # 100.64.0.0
-
-
-def batched(items: Iterator[str] | list[str], batch_size: int) -> Iterator[list[str]]:
-    """Chunk any iterable into lists of ``batch_size`` (last may be short).
-
-    The batching primitive under every batched driver: generators stay
-    lazy, so a million-request workload never materialises at once — each
-    batch is built, pushed through a ``*_batch`` API, and dropped.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    batch: list = []
-    append = batch.append
-    for item in items:
-        append(item)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,23 +80,6 @@ class RequestStream:
             yield self.universe.site(self.zipf.sample(rng))
             emitted += 1
 
-    def sample_batches(
-        self,
-        n: int,
-        seed: int,
-        batch_size: int = 1024,
-        include_assets: bool = True,
-    ) -> Iterator[list[str]]:
-        """Yield ``n`` request hostnames in ``batch_size`` chunks.
-
-        The batched workload driver: experiments push each chunk through
-        the edge's ``connect_batch``/``serve_batch`` (or the lookup path's
-        ``dispatch_batch``) so runs of millions of requests pay per-batch,
-        not per-request, orchestration overhead — and never hold more than
-        one batch in memory.
-        """
-        return batched(self.sample_hostnames(n, seed, include_assets), batch_size)
-
     def sample_flow_batches(
         self,
         n: int,
@@ -128,16 +90,20 @@ class RequestStream:
         """Yield struct-of-arrays flow columns: ``(hostnames, src_addrs,
         src_ports)``, each batch's columns parallel.
 
-        The flow-engine feed: hostnames follow the Zipf workload exactly
-        like :meth:`sample_batches`, while source addresses (CGNAT space)
-        and ephemeral ports are drawn per flow from a second seeded RNG —
-        distinct 5-tuples, deterministic corpus.  Columns stay plain lists
-        so the caller can hand them straight to
+        The flow-engine feed: hostnames are :meth:`sample_hostnames` cut
+        into ``batch_size`` chunks (the last may be short; the generator
+        stays lazy, so only one batch is ever held), while source addresses
+        (CGNAT space) and ephemeral ports are drawn per flow from a second
+        seeded RNG — distinct 5-tuples, deterministic corpus.  Columns stay
+        plain lists so the caller can hand them straight to
         ``FlowBatch(hostnames, src_addrs, src_ports)`` (or any scalar
         loop) without reshaping.
         """
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         rng = random.Random(seed ^ 0x5F10)
-        for hostnames in self.sample_batches(n, seed, batch_size, include_assets):
+        stream = self.sample_hostnames(n, seed, include_assets)
+        while hostnames := list(islice(stream, batch_size)):
             src_addrs = [
                 IPAddress.v4(_CLIENT_SRC_BASE + rng.randrange(1 << 22))
                 for _ in hostnames

@@ -52,6 +52,26 @@ class TestDatacenterPipeline:
         with pytest.raises(RuntimeError):
             cdn.datacenters["ashburn"].serve(ghost, Request("a.example.com"))
 
+    def test_connection_established_at_another_datacenter_rejected(self, clock):
+        """A live connection, just not this PoP's: its owner is a london
+        server, so ashburn refuses it — the same error from both entries."""
+        cdn, hostnames = make_cdn()
+        cdn.announce_pool(POOL_PREFIX, ports=(443,), mode=ListenMode.SK_LOOKUP)
+        ashburn, london = cdn.datacenters["ashburn"], cdn.datacenters["london"]
+        t = FiveTuple(Protocol.TCP, parse_address("100.64.0.1"), 40000,
+                      POOL_PREFIX.address_at(5), 443)
+        conn = london.connect(t, ClientHello(sni=hostnames[0]), HTTPVersion.H2)
+        assert conn.owner in london.servers and conn.owner not in ashburn.servers
+        request = Request(hostnames[0])
+        with pytest.raises(RuntimeError) as scalar:
+            ashburn.serve(conn, request)
+        with pytest.raises(RuntimeError) as batch:
+            ashburn.serve_batch([(conn, request)])
+        assert str(scalar.value) == str(batch.value)
+        assert str(scalar.value).endswith("was not established at ashburn")
+        assert ashburn.traffic.total_requests() == 0
+        assert london.serve(conn, request).status is Status.OK
+
     def test_dns_requires_configuration(self, clock):
         cdn, _ = make_cdn()
         with pytest.raises(RuntimeError):
@@ -139,8 +159,8 @@ class TestDatacenterPipeline:
         ]
         seq_conns = [dc_seq.connect(*req) for req in requests]
         bat_conns = dc_bat.connect_batch(requests)
-        assert [dc_seq._conn_owner[c.conn_id] for c in seq_conns] == \
-               [dc_bat._conn_owner[c.conn_id] for c in bat_conns]
+        assert [c.owner for c in seq_conns] == [c.owner for c in bat_conns]
+        assert {c.owner for c in bat_conns} <= set(dc_bat.servers)
         assert dc_bat.connection_count() == 64
 
         pairs = [(c, Request(req[1].sni)) for c, req in zip(bat_conns, requests)]

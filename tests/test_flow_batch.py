@@ -11,12 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.sklookup_perf import build_sk_lookup, make_packets
-from repro.flow import (
-    FlowBatch,
-    NumpyHashBackend,
-    PythonHashBackend,
-    default_backend,
-)
+from repro.flow import FlowBatch, NumpyHashBackend, PythonHashBackend
 from repro.netsim import parse_address
 from repro.netsim.packet import FiveTuple, Protocol
 from repro.sockets.errors import BatchShapeError
@@ -157,12 +152,6 @@ class TestHashBackends:
     def test_numpy_backend_empty(self):
         pytest.importorskip("numpy")
         assert NumpyHashBackend().hash_tuples([]) == []
-
-    def test_default_backend_selection(self):
-        assert default_backend("python").name == "python"
-        assert default_backend("auto").name in ("python", "numpy")
-        with pytest.raises(ValueError):
-            default_backend("fortran")
 
     def test_flow_hash_packet_and_tuple_agree(self):
         for packet in make_packets(16):

@@ -31,6 +31,7 @@ from repro.flow import FlowBatch
 from repro.netsim import parse_address
 from repro.netsim.addr import parse_prefix
 from repro.netsim.packet import FiveTuple, Protocol
+from repro.obs.trace import TraceRecorder
 from repro.sockets.lookup import flow_hash_tuple
 from repro.web.http import HTTPVersion, Request
 from repro.web.tls import ClientHello
@@ -418,7 +419,7 @@ class TestDatacenterColumnParity:
     def _surface(world, connections, responses) -> dict:
         dc = world.dc
         return {
-            "owners": [dc.connection_owner(c.conn_id) for c in connections],
+            "owners": [c.owner for c in connections],
             "ecmp": (dc.ecmp.stats.routed, dict(dc.ecmp.stats.per_server)),
             "l4lb": dc.l4lb.stats,
             "ingress": (dc.sheds, dc.syn_drops, dc._chaos_rng.getstate()),
@@ -530,3 +531,79 @@ class TestDatacenterColumnParity:
         assert surface == self._surface(scalar, [], [])
         assert batched.dc.connection_count() == len(conns_b) == surface["ecmp"][0]
         assert 0 < len(conns_b) < len(requests)
+
+    def test_traced_batches_record_the_scalar_loops_spans(self):
+        """With a tracer attached both entries run the same loop, so a batch
+        leaves the scalar loop's spans — trace ids, phases, details, count —
+        including those of the flow a crashed server refuses or resets."""
+        batched, scalar = _twin_worlds(num_hostnames=24, num_servers=5)
+        for world in (batched, scalar):
+            world.dc.tracer = TraceRecorder(world.clock)
+
+        def spans(world):
+            return [(s.trace, s.phase, s.detail) for s in world.dc.tracer]
+
+        flows = self._flows(batched, 60, seed=40)
+        requests = [request for request, _ in flows]
+        pairs_a = list(zip(batched.dc.connect_batch(requests), (r for _, r in flows)))
+        pairs_b = [(scalar.dc.connect(*request), r) for request, r in flows]
+        batched.dc.serve_batch(pairs_a)
+        for connection, request in pairs_b:
+            scalar.dc.serve(connection, request)
+        assert spans(batched) == spans(scalar)
+        assert len(spans(batched)) == 3 * 60  # ecmp, dispatch, serve per flow
+        assert spans(batched)[:2] == [
+            ("conn@bench-pop:1", "ecmp", ""),
+            ("conn@bench-pop:1", "dispatch", pairs_a[0][0].owner),
+        ]
+        assert spans(batched)[-1] == ("conn@bench-pop:60", "serve", flows[-1][1].path)
+
+        victim = pairs_a[30][0].owner
+        for world in (batched, scalar):
+            world.dc.crash_server(victim)
+        more = [request for request, _ in self._flows(batched, 60, seed=41)]
+        with pytest.raises(ConnectionRefusedError):
+            batched.dc.connect_batch(more)
+        with pytest.raises(ConnectionRefusedError):
+            for request in more:
+                scalar.dc.connect(*request)
+        reached = batched.dc.connection_count() - 60  # connected before the refusal
+        assert spans(batched) == spans(scalar)
+        assert len(spans(batched)) == 3 * 60 + 2 * (reached + 1)
+        assert spans(batched)[-2:] == [
+            (f"conn@bench-pop:{61 + reached}", "ecmp", ""),
+            (f"conn@bench-pop:{61 + reached}", "dispatch", victim),
+        ]
+
+        with pytest.raises(ConnectionResetError):
+            batched.dc.serve_batch(pairs_a)
+        with pytest.raises(ConnectionResetError):
+            for connection, request in pairs_b:
+                scalar.dc.serve(connection, request)
+        assert spans(batched) == spans(scalar)
+        reset = next(i for i, (c, _) in enumerate(pairs_a) if c.owner == victim)
+        assert spans(batched)[-1] == (
+            f"conn@bench-pop:{reset + 1}", "serve", pairs_a[reset][1].path
+        )
+        assert self._surface(batched, [], []) == self._surface(scalar, [], [])
+
+    def test_no_datacenter_container_grows_with_connections(self):
+        """What the datacenter knows per connection lives on the
+        ``Connection``: 2,000 connects (both entries) and a request on each
+        leave every dict / list / set attribute the size it started."""
+        world = build_flow_world(num_hostnames=24, num_servers=5)
+        dc = world.dc
+
+        def sizes():
+            return {name: len(value) for name, value in vars(dc).items()
+                    if isinstance(value, (dict, list, set))}
+
+        before = sizes()
+        assert "servers" in before
+        flows = self._flows(world, 2000, seed=50)
+        requests = [request for request, _ in flows]
+        connections = dc.connect_batch(requests[:1000])
+        connections += [dc.connect(*request) for request in requests[1000:]]
+        dc.serve_batch([(c, r) for c, (_, r) in zip(connections, flows)])
+        assert dc.connection_count() == 2000
+        assert sizes() == before

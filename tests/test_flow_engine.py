@@ -8,6 +8,7 @@ fold, and how the engine surfaces through ``repro.obs``.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from contextlib import contextmanager
 
@@ -23,7 +24,7 @@ from repro.experiments.flow_perf import (
     run_engine,
     run_scalar,
 )
-from repro.flow import FlowBatch, default_backend
+from repro.flow import FlowBatch, FlowEngine, NumpyHashBackend, PythonHashBackend
 from repro.netsim import parse_address
 from repro.netsim.packet import Packet
 from repro.obs import MetricsRegistry
@@ -149,8 +150,11 @@ class TestBackendsThroughEngine:
         cols = None
         batches = {}
         for backend in ("python", "numpy"):
-            world = build_flow_world(num_hostnames=16, num_servers=4, backend=backend)
-            assert world.engine.backend.name == backend
+            world = build_flow_world(num_hostnames=16, num_servers=4)
+            assert isinstance(world.engine.backend, NumpyHashBackend)  # the default
+            if backend == "python":
+                world.engine = FlowEngine(world.source, world.cache, world.dc,
+                                          world.dc.name, backend=PythonHashBackend())
             cols = _columns(world, n=64, batch_size=64)
             (hostnames, src_addrs, src_ports) = cols[0]
             batches[backend] = world.engine.run_batch(
@@ -192,6 +196,22 @@ class TestFlowWorkload:
             assert len(hostnames) == len(src_addrs) == len(src_ports)
             assert all(cgnat_lo <= addr.value < cgnat_hi for addr in src_addrs)
             assert all(20_000 <= port < 60_000 for port in src_ports)
+        # The exact columns, short last batch included, as they came out
+        # when the chunking lived in ``batched`` / ``sample_batches``.
+        assert [len(hostnames) for hostnames, _, _ in a] == [32, 32, 32, 4]
+        flows = [(h, addr.value, port) for hs, addrs, ports in a
+                 for h, addr, port in zip(hs, addrs, ports)]
+        assert hashlib.sha256(repr(flows).encode()).hexdigest() == (
+            "7a354eae22326729e673cd946f672447d9c94082fc19a71f80db81ddcee0a300"
+        )
+        assert flows[0] == ("site0000007.example.com", 1682433577, 51543)
+        assert a[-1] == (
+            ["site0000004.example.com", "img.site0000004.example.com",
+             "static.site0000004.example.com", "api.site0000004.example.com"],
+            [parse_address(text) for text in ("100.118.32.252", "100.75.76.90",
+                                              "100.68.252.102", "100.127.137.216")],
+            [54123, 23571, 23138, 27597],
+        )
 
     def test_run_scalar_reference_serves_everything(self):
         world = build_flow_world(num_hostnames=8, num_servers=2)
