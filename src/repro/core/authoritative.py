@@ -127,7 +127,7 @@ class PolicyAnswerSource(AnswerSource):
 
     def _policy_answer(self, question: Question, decision: PolicyDecision) -> Answer:
         rdata = A(decision.address) if question.rrtype == RRType.A else AAAA(decision.address)
-        record = ResourceRecord(question.name, rdata, ttl=decision.ttl)
+        record = ResourceRecord(question.name, rdata, decision.ttl)
         self.log.record_policy(decision.policy.name)
         return Answer(Rcode.NOERROR, records=(record,))
 

@@ -12,9 +12,10 @@ object model both the servers and resolvers share.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..netsim.addr import IPAddress, IPv4, IPv6
+from ..value import Value
 
 __all__ = [
     "DomainName",
@@ -59,38 +60,50 @@ class RRClass(enum.IntEnum):
     ANY = 255
 
 
-@dataclass(frozen=True, slots=True)
-class DomainName:
+class _DomainNameFields(NamedTuple):
+    labels: tuple[str, ...]
+
+
+class DomainName(Value, _DomainNameFields):
     """A fully-qualified domain name, stored as a tuple of lowercase labels.
 
     DNS name comparison is case-insensitive (RFC 1035 §2.3.3); labels are
     normalised to lowercase at construction so equality and hashing behave.
+    Labels are ASCII, the wire's alphabet: a length in characters is in octets.
 
     >>> DomainName.from_text("WWW.Example.COM") == DomainName.from_text("www.example.com.")
     True
     """
 
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, labels: tuple[str, ...]) -> "DomainName":
         total = 0
-        for label in self.labels:
+        for label in labels:
             if not label:
                 raise DNSNameError("empty label inside name")
             if len(label) > MAX_LABEL_LEN:
                 raise DNSNameError(f"label too long: {label[:16]!r}…")
+            if not label.isascii():
+                raise DNSNameError(f"label is not ASCII: {label[:16]!r}")
             if label != label.lower():
                 raise DNSNameError("labels must be normalised lowercase; use from_text")
             total += len(label) + 1
         if total + 1 > MAX_NAME_LEN:
             raise DNSNameError("name exceeds 255 octets")
+        return tuple.__new__(cls, (labels,))
 
     @classmethod
     def from_text(cls, text: str) -> "DomainName":
         text = text.rstrip(".")
-        if not text:
-            return cls(())  # the root
-        return cls(tuple(label.lower() for label in text.split(".")))
+        if not text.isascii():
+            raise DNSNameError(f"name is not ASCII: {text[:16]!r}")
+        labels = tuple(text.lower().split(".")) if text else ()
+        # Lower case and no dots already: only the bounds are left, checked in C.
+        if len(text) < MAX_NAME_LEN - 1 and "" not in labels and (
+                len(text) <= MAX_LABEL_LEN or max(map(len, labels)) <= MAX_LABEL_LEN):
+            return tuple.__new__(cls, (labels,))
+        return cls(labels)
 
     @classmethod
     def root(cls) -> "DomainName":
@@ -124,61 +137,68 @@ class DomainName:
         return len(self.labels)
 
 
-class RData:
-    """Base class for record data; subclasses are frozen dataclasses."""
+class RData(Value):
+    """Base class for record data; each kind is a value over its fields."""
 
+    __slots__ = ()
     rrtype: RRType
 
     def rdata_text(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
-class A(RData):
+class _AddressFields(NamedTuple):
     address: IPAddress
-    rrtype = RRType.A
 
-    def __post_init__(self) -> None:
-        if self.address.family != IPv4:
-            raise ValueError("A record requires an IPv4 address")
+
+class _AddressRData(RData, _AddressFields):
+    __slots__ = ()
+    family: int  # of the one address an A / AAAA record carries
+
+    def __new__(cls, address: IPAddress) -> "_AddressRData":
+        if address.family != cls.family:
+            raise ValueError(f"{cls.__name__} record requires an IPv{cls.family} address")
+        return tuple.__new__(cls, (address,))
 
     def rdata_text(self) -> str:
         return str(self.address)
 
 
-@dataclass(frozen=True, slots=True)
-class AAAA(RData):
-    address: IPAddress
-    rrtype = RRType.AAAA
-
-    def __post_init__(self) -> None:
-        if self.address.family != IPv6:
-            raise ValueError("AAAA record requires an IPv6 address")
-
-    def rdata_text(self) -> str:
-        return str(self.address)
+class A(_AddressRData):
+    __slots__ = ()
+    rrtype, family = RRType.A, IPv4
 
 
-@dataclass(frozen=True, slots=True)
-class CNAME(RData):
+class AAAA(_AddressRData):
+    __slots__ = ()
+    rrtype, family = RRType.AAAA, IPv6
+
+
+class _CNAMEFields(NamedTuple):
     target: DomainName
+
+
+class CNAME(RData, _CNAMEFields):
+    __slots__ = ()
     rrtype = RRType.CNAME
 
     def rdata_text(self) -> str:
         return str(self.target)
 
 
-@dataclass(frozen=True, slots=True)
-class NS(RData):
+class _NSFields(NamedTuple):
     nameserver: DomainName
+
+
+class NS(RData, _NSFields):
+    __slots__ = ()
     rrtype = RRType.NS
 
     def rdata_text(self) -> str:
         return str(self.nameserver)
 
 
-@dataclass(frozen=True, slots=True)
-class SOA(RData):
+class _SOAFields(NamedTuple):
     mname: DomainName
     rname: DomainName
     serial: int
@@ -186,6 +206,10 @@ class SOA(RData):
     retry: int
     expire: int
     minimum: int
+
+
+class SOA(RData, _SOAFields):
+    __slots__ = ()
     rrtype = RRType.SOA
 
     def rdata_text(self) -> str:
@@ -195,22 +219,31 @@ class SOA(RData):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class TXT(RData):
+class _TXTFields(NamedTuple):
     strings: tuple[str, ...]
+
+
+class TXT(RData, _TXTFields):
+    __slots__ = ()
     rrtype = RRType.TXT
 
-    def __post_init__(self) -> None:
-        for s in self.strings:
+    def __new__(cls, strings: tuple[str, ...]) -> "TXT":
+        for s in strings:
             if len(s.encode()) > 255:
                 raise ValueError("TXT character-string exceeds 255 octets")
+        return tuple.__new__(cls, (strings,))
 
     def rdata_text(self) -> str:
         return " ".join(f'"{s}"' for s in self.strings)
 
 
-@dataclass(frozen=True, slots=True)
-class OPTPseudo(RData):
+class _OPTPseudoFields(NamedTuple):
+    udp_payload_size: int
+    ttl_word: int
+    data: bytes
+
+
+class OPTPseudo(RData, _OPTPseudoFields):
     """The EDNS(0) OPT pseudo-record, carried opaquely (RFC 6891).
 
     OPT overloads the RR fixed fields: CLASS holds the requester's UDP
@@ -219,38 +252,30 @@ class OPTPseudo(RData):
     option TLVs in ``data``.
     """
 
-    udp_payload_size: int
-    ttl_word: int
-    data: bytes
+    __slots__ = ()
     rrtype = RRType.OPT
 
     def rdata_text(self) -> str:
         return f"OPT payload={self.udp_payload_size} ({len(self.data)} option bytes)"
 
 
-#: RDATA class for each type this codec understands.
-RDATA_CLASSES: dict[RRType, type] = {
-    RRType.A: A,
-    RRType.AAAA: AAAA,
-    RRType.CNAME: CNAME,
-    RRType.NS: NS,
-    RRType.SOA: SOA,
-    RRType.TXT: TXT,
-}
-
-
-@dataclass(frozen=True, slots=True)
-class ResourceRecord:
-    """One RR: name, class, TTL, and typed RDATA."""
-
+class _ResourceRecordFields(NamedTuple):
     name: DomainName
     rdata: RData
     ttl: int
-    rrclass: RRClass = RRClass.IN
+    rrclass: RRClass
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.ttl <= 0x7FFFFFFF:
-            raise ValueError(f"TTL {self.ttl} outside RFC 2181 range")
+
+class ResourceRecord(Value, _ResourceRecordFields):
+    """One RR: name, class, TTL, and typed RDATA."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: DomainName, rdata: RData, ttl: int,
+                rrclass: RRClass = RRClass.IN) -> "ResourceRecord":
+        if not 0 <= ttl <= 0x7FFFFFFF:
+            raise ValueError(f"TTL {ttl} outside RFC 2181 range")
+        return tuple.__new__(cls, (name, rdata, ttl, rrclass))
 
     @property
     def rrtype(self) -> RRType:
@@ -266,13 +291,16 @@ class ResourceRecord:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Question:
-    """A query triple (QNAME, QTYPE, QCLASS)."""
-
+class _QuestionFields(NamedTuple):
     name: DomainName
     rrtype: RRType
     rrclass: RRClass = RRClass.IN
+
+
+class Question(Value, _QuestionFields):
+    """A query triple (QNAME, QTYPE, QCLASS)."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.name} {self.rrclass.name} {self.rrtype.name}"

@@ -186,7 +186,8 @@ def decode_name(data: bytes, offset: int) -> tuple[DomainName, int]:
         if length == 0:
             if not jumped:
                 next_offset = offset + 1
-            return DomainName(tuple(labels)), next_offset
+            # Every label was bounded, ASCII-checked and lower-cased below.
+            return tuple.__new__(DomainName, (tuple(labels),)), next_offset
         start = offset + 1
         end = start + length
         if end > len(data):

@@ -171,21 +171,14 @@ class DistributedCache:
         key = (host, request.path)
         node = self.home_node(key) if home is None else home
         size = node.get(key)
+        # Positional: a keyword call builds a dict per response (status,
+        # body_len, served_by, cache_hit, latency_s).
         if size is not None:
-            return Response(
-                Status.OK, body_len=size, served_by=node.name, cache_hit=True,
-                latency_s=latency_s,
-            )
+            return Response(Status.OK, size, node.name, True, latency_s)
         response = self.origin_gateway.fetch(request)
         if response.status is Status.OK:
             node.put(key, response.body_len)
-        return Response(
-            response.status,
-            body_len=response.body_len,
-            served_by=node.name,
-            cache_hit=False,
-            latency_s=latency_s,
-        )
+        return Response(response.status, response.body_len, node.name, False, latency_s)
 
     # -- aggregate stats -----------------------------------------------------
 

@@ -341,23 +341,14 @@ class EdgeServer:
             )
         self.stats.requests += 1
         host = request.authority.lower().rstrip(".")
+        latency_s = self.serve_latency_s
         if not connection.certificate.covers(host):
-            return self._timed(Response(Status.MISDIRECTED, served_by=self.name))
+            return Response(Status.MISDIRECTED, served_by=self.name, latency_s=latency_s)
         if not self.registry.is_hosted(host):
-            return self._timed(Response(Status.NOT_FOUND, served_by=self.name))
-        response = self.cache.fetch(request, host, home, self.serve_latency_s)
+            return Response(Status.NOT_FOUND, served_by=self.name, latency_s=latency_s)
+        response = self.cache.fetch(request, host, home, latency_s)
         self.stats.bytes_served += response.body_len
         return response
-
-    def _timed(self, response: Response) -> Response:
-        """Stamp this server's current service time onto the response."""
-        return Response(
-            status=response.status,
-            body_len=response.body_len,
-            served_by=response.served_by,
-            cache_hit=response.cache_hit,
-            latency_s=self.serve_latency_s,
-        )
 
     # -- accounting ------------------------------------------------------------
 

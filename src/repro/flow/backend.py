@@ -42,33 +42,32 @@ class PythonHashBackend:
 class NumpyHashBackend:
     """The FNV-1a chain vectorised over ``uint64`` columns.
 
-    Each 5-tuple contributes five parts (protocol, src, sport, dst, dport);
-    each part is split into low and high 64-bit halves (the high half is
-    non-zero only for IPv6 addresses) so the per-part fold is two
-    xor-multiply rounds, exactly like the scalar chain.  uint64 multiply
-    wraps modulo 2^64 in numpy, which *is* the ``& MASK64`` of the
-    reference — no masking needed.
+    Each 5-tuple contributes five parts (protocol, src, sport, dst, dport),
+    one column each; each part is split into low and high 64-bit halves so
+    the per-part fold is two xor-multiply rounds, exactly like the scalar
+    chain (the high half is non-zero only in an IPv6 column, the only one
+    that xors it in).  uint64 multiply wraps modulo 2^64 in numpy, which
+    *is* the ``& MASK64`` of the reference — no masking needed.
     """
 
     name = "numpy"
 
     def hash_tuples(self, tuple5s: Sequence[FiveTuple]) -> list[int]:
-        n = len(tuple5s)
-        if n == 0:
+        if not tuple5s:
             return []
-        h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+        h = np.full(len(tuple5s), _FNV_OFFSET, dtype=np.uint64)
         prime = np.uint64(_FNV_PRIME)
-        for lo_of, hi_of in (
-            (lambda t: int(t.protocol.wire_protocol), lambda t: 0),
-            (lambda t: t.src.value & _MASK64, lambda t: t.src.value >> 64),
-            (lambda t: t.src_port, lambda t: 0),
-            (lambda t: t.dst.value & _MASK64, lambda t: t.dst.value >> 64),
-            (lambda t: t.dst_port, lambda t: 0),
+        for part in (
+            [int(t.protocol.wire_protocol) for t in tuple5s],
+            [t.src.value for t in tuple5s],
+            [t.src_port for t in tuple5s],
+            [t.dst.value for t in tuple5s],
+            [t.dst_port for t in tuple5s],
         ):
-            lo = np.fromiter((lo_of(t) for t in tuple5s), dtype=np.uint64, count=n)
-            hi = np.fromiter((hi_of(t) for t in tuple5s), dtype=np.uint64, count=n)
-            h ^= lo
+            wide = max(part) > _MASK64
+            h ^= np.array([v & _MASK64 for v in part] if wide else part, dtype=np.uint64)
             h = h * prime
-            h ^= hi
+            if wide:
+                h ^= np.array([v >> 64 for v in part], dtype=np.uint64)
             h = h * prime
-        return [int(x) for x in h]
+        return h.tolist()

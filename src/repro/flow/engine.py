@@ -168,7 +168,7 @@ class FlowEngine:
         ]
         hashes = self.backend.hash_tuples(live)
         requests = [
-            (t5, ClientHello(sni=batch.hostnames[i]), self.version)
+            (t5, ClientHello(batch.hostnames[i]), self.version)
             for i, t5 in zip(idx, live)
         ]
         conns = self.dc.connect_batch(requests, flow_hashes=hashes)
@@ -214,7 +214,7 @@ class FlowEngine:
         statuses: list[int | None] = [None] * len(batch)
         idx = batch.connected_indices()
         pairs = [
-            (batch.connections[i], Request(authority=batch.hostnames[i]))
+            (batch.connections[i], Request(batch.hostnames[i]))
             for i in idx
         ]
         responses = self.dc.serve_batch(pairs)

@@ -19,6 +19,9 @@ import ipaddress
 import random
 from dataclasses import dataclass
 from collections.abc import Iterator
+from typing import NamedTuple
+
+from ..value import Value
 
 __all__ = [
     "IPv4",
@@ -49,8 +52,12 @@ def _check_family(family: int) -> int:
     return family
 
 
-@dataclass(frozen=True, slots=True, order=False)
-class IPAddress:
+class _IPAddressFields(NamedTuple):
+    family: int
+    value: int
+
+
+class IPAddress(Value, _IPAddressFields):
     """A single IP address: an integer plus a family tag.
 
     >>> a = IPAddress.from_text("192.0.2.1")
@@ -60,15 +67,13 @@ class IPAddress:
     '192.0.2.1'
     """
 
-    family: int
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_family(self.family)
-        if not 0 <= self.value <= _MAX[self.family]:
-            raise ValueError(
-                f"address value {self.value:#x} out of range for IPv{self.family}"
-            )
+    def __new__(cls, family: int, value: int) -> "IPAddress":
+        _check_family(family)
+        if not 0 <= value <= _MAX[family]:
+            raise ValueError(f"address value {value:#x} out of range for IPv{family}")
+        return tuple.__new__(cls, (family, value))
 
     # -- constructors ------------------------------------------------------
 
@@ -96,21 +101,6 @@ class IPAddress:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"IPAddress({str(self)!r})"
-
-    # -- ordering (within a family) ----------------------------------------
-
-    def _cmp_key(self) -> tuple[int, int]:
-        return (self.family, self.value)
-
-    def __lt__(self, other: "IPAddress") -> bool:
-        if not isinstance(other, IPAddress):
-            return NotImplemented
-        return self._cmp_key() < other._cmp_key()
-
-    def __le__(self, other: "IPAddress") -> bool:
-        if not isinstance(other, IPAddress):
-            return NotImplemented
-        return self._cmp_key() <= other._cmp_key()
 
     # -- packing (used by the DNS wire codec) ------------------------------
 
@@ -249,7 +239,8 @@ class Prefix:
         "one address to serve them all" configuration — with no special case.
         """
         suffix = rng.getrandbits(self.suffix_bits) if self.suffix_bits else 0
-        return IPAddress(self.family, self.network | suffix)
+        # Inside a valid prefix by construction: built without a re-check.
+        return tuple.__new__(IPAddress, (self.family, self.network | suffix))
 
     def address_at(self, index: int) -> IPAddress:
         """The ``index``-th address in the pool (0-based); supports negatives."""

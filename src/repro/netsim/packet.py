@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from ..value import Value
 from .addr import IPAddress
 
 __all__ = ["Protocol", "FiveTuple", "Packet", "FlowRecord"]
@@ -34,20 +36,25 @@ class Protocol(enum.IntEnum):
         return Protocol.UDP if self is Protocol.QUIC else self
 
 
-@dataclass(frozen=True, slots=True)
-class FiveTuple:
-    """(proto, src ip, src port, dst ip, dst port) — a connection identity."""
-
+class _FiveTupleFields(NamedTuple):
     protocol: Protocol
     src: IPAddress
     src_port: int
     dst: IPAddress
     dst_port: int
 
-    def __post_init__(self) -> None:
-        for name, port in (("src_port", self.src_port), ("dst_port", self.dst_port)):
-            if not 0 <= port <= 0xFFFF:
-                raise ValueError(f"{name} {port} outside 0..65535")
+
+class FiveTuple(Value, _FiveTupleFields):
+    """(proto, src ip, src port, dst ip, dst port) — a connection identity."""
+
+    __slots__ = ()
+
+    def __new__(cls, protocol: Protocol, src: IPAddress, src_port: int,
+                dst: IPAddress, dst_port: int) -> "FiveTuple":
+        if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
+            bad = ("dst_port", dst_port) if 0 <= src_port <= 0xFFFF else ("src_port", src_port)
+            raise ValueError(f"{bad[0]} {bad[1]} outside 0..65535")
+        return tuple.__new__(cls, (protocol, src, src_port, dst, dst_port))
 
     def reversed(self) -> "FiveTuple":
         """The tuple as seen from the opposite direction."""
@@ -60,8 +67,13 @@ class FiveTuple:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
+class _PacketFields(NamedTuple):
+    tuple5: FiveTuple
+    payload_len: int = 0
+    syn: bool = False
+
+
+class Packet(Value, _PacketFields):
     """A single simulated datagram/segment.
 
     ``payload_len`` stands in for actual bytes; the simulator never carries
@@ -70,9 +82,7 @@ class Packet:
     is what the listening-socket lookup path cares about.
     """
 
-    tuple5: FiveTuple
-    payload_len: int = 0
-    syn: bool = False
+    __slots__ = ()
 
     @property
     def protocol(self) -> Protocol:

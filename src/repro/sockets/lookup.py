@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from ..netsim.packet import FiveTuple, Packet
+from ..value import Value
 from .errors import BatchShapeError, ProgramNotAttachedError
 from .sklookup import SkLookupProgram, Verdict
 from .socktable import Socket, SocketTable
@@ -63,12 +64,15 @@ class LookupStage(enum.Enum):
     MISS = "miss"
 
 
-@dataclass(frozen=True, slots=True)
-class DispatchResult:
-    """Where a packet landed, and via which stage."""
-
+class _DispatchResultFields(NamedTuple):
     stage: LookupStage
     socket: Socket | None
+
+
+class DispatchResult(Value, _DispatchResultFields):
+    """Where a packet landed, and via which stage."""
+
+    __slots__ = ()
 
     @property
     def delivered(self) -> bool:

@@ -21,9 +21,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..netsim.addr import IPAddress
 from ..netsim.packet import Protocol
+from ..value import Value
 from .tls import Certificate
 
 __all__ = ["HTTPVersion", "Request", "Response", "Connection", "Status"]
@@ -59,23 +61,26 @@ class Status(enum.IntEnum):
     UNAVAILABLE = 503
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
+class _RequestFields(NamedTuple):
+    authority: str
+    path: str
+    method: str
+
+
+class Request(Value, _RequestFields):
     """One HTTP request: authority (hostname), path, and size accounting."""
 
-    authority: str
-    path: str = "/"
-    method: str = "GET"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.authority:
+    def __new__(cls, authority: str, path: str = "/", method: str = "GET") -> "Request":
+        if not authority:
             raise ValueError("request needs an authority (Host/:authority)")
-        if not self.path.startswith("/"):
-            raise ValueError(f"path must start with '/': {self.path!r}")
+        if not path.startswith("/"):
+            raise ValueError(f"path must start with '/': {path!r}")
+        return tuple.__new__(cls, (authority, path, method))
 
 
-@dataclass(frozen=True, slots=True)
-class Response:
+class _ResponseFields(NamedTuple):
     status: Status
     body_len: int = 0
     served_by: str = ""
@@ -85,6 +90,10 @@ class Response:
     #: health monitor's latency-aware detection reads it back out — a slow
     #: server answers *correctly but late*, which no status code shows.
     latency_s: float = 0.0
+
+
+class Response(Value, _ResponseFields):
+    __slots__ = ()
 
 
 @dataclass(slots=True, eq=False)

@@ -44,7 +44,7 @@ class OriginServer:
             return Response(Status.NOT_FOUND, served_by=self.name)
         size = self.size_model(host, request.path)
         self.bytes_served += size
-        return Response(Status.OK, body_len=size, served_by=self.name)
+        return Response(Status.OK, size, self.name)
 
 
 class OriginPool:

@@ -11,6 +11,9 @@ HTTP/2 connection coalescing, Figure 8).  No cryptography is simulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from ..value import Value
 
 __all__ = ["Certificate", "ClientHello", "CertificateStore", "TLSError"]
 
@@ -67,12 +70,15 @@ class Certificate:
         return head != "" and parent in self._suffixes
 
 
-@dataclass(frozen=True, slots=True)
-class ClientHello:
-    """The handshake fields the server dispatches on."""
-
+class _ClientHelloFields(NamedTuple):
     sni: str | None
     alpn: tuple[str, ...] = ("h2", "http/1.1")
+
+
+class ClientHello(Value, _ClientHelloFields):
+    """The handshake fields the server dispatches on."""
+
+    __slots__ = ()
 
 
 class CertificateStore:

@@ -43,6 +43,24 @@ class TestDomainName:
         with pytest.raises(DNSNameError):
             DomainName.from_text(".".join([label] * 5))
 
+    def test_label_length_counts_octets_not_characters(self):
+        # 40 characters, 80 octets in UTF-8: over the 63-octet label limit.
+        with pytest.raises(DNSNameError, match="ASCII"):
+            DomainName.from_text("ü" * 40 + ".com")
+
+    def test_non_ascii_label_rejected_where_the_name_is_built(self):
+        with pytest.raises(DNSNameError, match="ASCII"):
+            DomainName(("café", "example"))
+        # KELVIN SIGN lower-cases to ASCII "k"; the name is still not ASCII.
+        with pytest.raises(DNSNameError, match="ASCII"):
+            DomainName.from_text("\u212a.example")
+
+    def test_non_ascii_query_name_is_a_name_error_not_a_codec_crash(self):
+        from repro.dns.wire import Message
+
+        with pytest.raises(DNSNameError):
+            Message.query(7, "café.example", RRType.A).encode()
+
     def test_empty_label_rejected(self):
         with pytest.raises(DNSNameError):
             DomainName(("a", "", "com"))

@@ -149,6 +149,16 @@ class TestHashBackends:
             flow_hash_tuple(t) for t in tuples
         ]
 
+    def test_numpy_backend_bit_exact_mixed_families(self):
+        """One batch, both families: a column holding any IPv6 value above
+        2^64 folds high halves for every row (zero for the IPv4 rows), and
+        a column whose IPv6 values all fit 64 bits (``::1``) has none."""
+        tuples = _tuples(8) + _tuples(8, v6=True) + [
+            FiveTuple(Protocol.UDP, parse_address("::1"), 53, parse_address("192.0.2.1"), 53),
+        ]
+        for batch in (tuples, tuples[-1:], tuples[::-1]):
+            assert NumpyHashBackend().hash_tuples(batch) == [flow_hash_tuple(t) for t in batch]
+
     def test_numpy_backend_empty(self):
         pytest.importorskip("numpy")
         assert NumpyHashBackend().hash_tuples([]) == []

@@ -26,12 +26,13 @@ from repro.experiments.flow_perf import (
 )
 from repro.flow import FlowBatch, FlowEngine, NumpyHashBackend, PythonHashBackend
 from repro.netsim import parse_address
-from repro.netsim.packet import Packet
+from repro.dns.records import Question
+from repro.netsim.packet import FiveTuple, Packet, Protocol
 from repro.obs import MetricsRegistry
 from repro.obs.adapters import watch_flow_engine
 from repro.sockets import socktable
-from repro.sockets.lookup import LookupStage
-from repro.web.http import Response
+from repro.sockets.lookup import DispatchResult, LookupStage
+from repro.web.http import Response, Status
 from repro.workload.traffic import RequestStream
 
 
@@ -225,12 +226,17 @@ class TestCallCounts:
     module or class attribute, the way ``benchmarks/e2e/trace.py`` does).
 
     The rendezvous picks and content-key hashes run as columns, so the
-    scalar functions are never entered; every flow is wrapped in a packet
-    twice (its SYN, its request) and answered with one response, plus one
-    more per origin fetch; and no receive queue is allocated for a child
-    nothing is delivered to."""
+    scalar functions are never entered; every flow gets one 5-tuple, is
+    wrapped in a packet twice (its SYN, its request), lands through two
+    dispatch results and is answered with one response, plus one more per
+    origin fetch; a batch parses each distinct hostname into one question;
+    and no receive queue is allocated for a child nothing is delivered to.
+
+    Value types are built by ``__new__`` (tuples have no ``__init__`` to
+    run), so that is what is counted."""
 
     FLOWS = 1024
+    VALUES = (FiveTuple, Packet, DispatchResult, Question, Response)
 
     @contextmanager
     def _counted(self):
@@ -248,8 +254,8 @@ class TestCallCounts:
                 for name in ("splitmix64", "pick", "fnv1a64"):
                     if name in vars(module):
                         patch.setattr(module, name, counting(name, vars(module)[name]))
-            for cls in (Packet, Response):
-                patch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+            for cls in self.VALUES:
+                patch.setattr(cls, "__new__", counting(cls.__name__, cls.__new__))
             patch.setattr(socktable, "deque", counting("deque", socktable.deque))
             yield calls
 
@@ -264,7 +270,26 @@ class TestCallCounts:
         fetched = sum(origin.requests for origin in origins) - fetched
         assert all(status == 200 for status in batch.statuses)
         assert 0 < fetched < self.FLOWS  # hits and misses both rode along
-        assert dict(calls) == {"Packet": 2 * self.FLOWS, "Response": self.FLOWS + fetched}
+        hostnames = len(set(timed[0]))
+        assert 1 < hostnames < self.FLOWS  # the batch repeats names
+        assert dict(calls) == {
+            "FiveTuple": self.FLOWS,
+            "Packet": 2 * self.FLOWS,
+            "DispatchResult": 2 * self.FLOWS,
+            "Question": hostnames,
+            "Response": self.FLOWS + fetched,
+        }
+
+    def test_counting_through_new_leaves_the_types_as_they_were(self):
+        """The patch is undone on exit: construction and equality behave as
+        before, and no class keeps a ``__new__`` it did not define."""
+        own = {cls: "__new__" in vars(cls) for cls in self.VALUES}
+        with self._counted() as calls:
+            Packet(FiveTuple(Protocol.TCP, parse_address("192.0.2.1"), 1,
+                             parse_address("192.0.2.2"), 443))
+        assert calls["Packet"] == calls["FiveTuple"] == 1
+        assert {cls: "__new__" in vars(cls) for cls in self.VALUES} == own
+        assert Response(Status.OK) == Response(Status.OK, body_len=0)
 
     def test_the_scalar_path_is_what_the_counters_would_have_caught(self):
         """The same wrappers around ``run_scalar``: the pins above are not

@@ -106,6 +106,13 @@ class TestErrors:
         with pytest.raises(ZoneFileError, match="no previous record"):
             parse_zone_text("$TTL 60\n   IN A 192.0.2.1\n", "example.com")
 
+    def test_non_ascii_name_is_a_line_numbered_error(self):
+        # The wire codec encodes names as ASCII; such a target used to load
+        # and fail only when a response carrying it was encoded.
+        text = "$TTL 60\nok IN A 192.0.2.1\nwww IN CNAME café.example.org.\n"
+        with pytest.raises(ZoneFileError, match="line 3: bad name 'café.example.org.'.*ASCII"):
+            load_zone(text, "example.org")
+
     def test_error_carries_line_number(self):
         try:
             parse_zone_text("$TTL 60\nok IN A 192.0.2.1\nbad IN A not-an-ip\n",
