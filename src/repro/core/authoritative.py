@@ -92,11 +92,11 @@ class PolicyAnswerSource(AnswerSource):
         hostname = str(question.name).rstrip(".")
         account = self.registry.account_type_for(hostname)
         attrs = PolicyAttributes(
-            pop=context.pop,
-            account_type=account.value if account is not None else None,
-            family=IPv4 if question.rrtype == RRType.A else IPv6,
-            hostname=hostname,
-            client_subnet=context.client_subnet,
+            context.pop,
+            account.value if account is not None else None,
+            IPv4 if question.rrtype == RRType.A else IPv6,
+            hostname,
+            context.client_subnet,
         )
         if self.tracer is None:
             decision = self.engine.evaluate(attrs)
@@ -129,7 +129,7 @@ class PolicyAnswerSource(AnswerSource):
         rdata = A(decision.address) if question.rrtype == RRType.A else AAAA(decision.address)
         record = ResourceRecord(question.name, rdata, decision.ttl)
         self.log.record_policy(decision.policy.name)
-        return Answer(Rcode.NOERROR, records=(record,))
+        return Answer(Rcode.NOERROR, (record,))
 
     def _fall_through(self, question: Question, context: QueryContext) -> Answer:
         if self.fallback is None:

@@ -21,10 +21,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from ..netsim.addr import IPAddress
+from ..value import Value
 from .pool import AddressPool
 from .strategies import RandomSelection, SelectionStrategy
 
@@ -36,8 +37,15 @@ MATCH_KEYS = ("family", "pop", "account_type")
 _OTHER = object()
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyAttributes:
+class _PolicyAttributesFields(NamedTuple):
+    pop: str
+    account_type: str | None = None
+    family: int = 4  # 4 for A queries, 6 for AAAA
+    hostname: str = ""
+    client_subnet: str | None = None
+
+
+class PolicyAttributes(Value, _PolicyAttributesFields):
     """The attribute tuple a query presents for matching.
 
     ``hostname`` is carried for *strategies* that need it (static
@@ -48,11 +56,7 @@ class PolicyAttributes:
     statically verifiable — see :mod:`repro.core.spec`).
     """
 
-    pop: str
-    account_type: str | None = None
-    family: int = 4  # 4 for A queries, 6 for AAAA
-    hostname: str = ""
-    client_subnet: str | None = None
+    __slots__ = ()
 
     def as_mapping(self) -> dict[str, object]:
         return {
@@ -114,13 +118,16 @@ class Policy:
         return f"Policy({self.name!r}, match={dict(self.match)}, pool={self.pool.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyDecision:
-    """The engine's verdict for one query."""
-
+class _PolicyDecisionFields(NamedTuple):
     policy: Policy
     address: IPAddress
     ttl: int
+
+
+class PolicyDecision(Value, _PolicyDecisionFields):
+    """The engine's verdict for one query."""
+
+    __slots__ = ()
 
 
 class PolicyIndex:
@@ -185,7 +192,7 @@ class PolicyIndex:
         "other" marker is a value no policy names.)"""
         classes = ((*named, _OTHER) for named in (self._families, self._pops, self._accounts))
         for family, pop, account in itertools.product(*classes):
-            self.first_match(PolicyAttributes(pop=pop, account_type=account, family=family))
+            self.first_match(PolicyAttributes(pop, account, family))
         return {policy for policy in self._cells.values() if policy is not None}
 
 

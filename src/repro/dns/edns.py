@@ -23,9 +23,10 @@ cacheable data — and provides helpers to attach/extract it on
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from ..netsim.addr import IPAddress, IPv4, IPv6, Prefix
+from ..netsim.addr import IPv4, IPv6, Prefix
+from ..value import Value
 from .records import DomainName, OPTPseudo, ResourceRecord
 from .wire import Message, WireError
 
@@ -36,16 +37,20 @@ _FAMILY_IANA = {IPv4: 1, IPv6: 2}
 _FAMILY_FROM_IANA = {1: IPv4, 2: IPv6}
 
 
-@dataclass(frozen=True, slots=True)
-class ClientSubnet:
-    """An RFC 7871 client-subnet option: a truncated client prefix."""
-
+class _ClientSubnetFields(NamedTuple):
     prefix: Prefix
     scope: int = 0  # authoritative's answer scope (0 in queries)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.scope <= self.prefix.bits:
-            raise ValueError(f"scope {self.scope} exceeds address width")
+
+class ClientSubnet(Value, _ClientSubnetFields):
+    """An RFC 7871 client-subnet option: a truncated client prefix."""
+
+    __slots__ = ()
+
+    def __new__(cls, prefix: Prefix, scope: int = 0) -> "ClientSubnet":
+        if not 0 <= scope <= prefix.bits:
+            raise ValueError(f"scope {scope} exceeds address width")
+        return tuple.__new__(cls, (prefix, scope))
 
     def pack(self) -> bytes:
         source = self.prefix.length
@@ -57,6 +62,9 @@ class ClientSubnet:
 
     @classmethod
     def unpack(cls, data: bytes) -> "ClientSubnet":
+        """The option body, checked as RFC 7871 §6 asks: a family this
+        server knows, prefix lengths inside it, and an ADDRESS of exactly
+        ⌈SOURCE / 8⌉ octets with no bit set past SOURCE PREFIX-LENGTH."""
         if len(data) < 4:
             raise WireError("ECS option shorter than its fixed fields")
         family_code, source, scope = struct.unpack_from("!HBB", data, 0)
@@ -66,25 +74,34 @@ class ClientSubnet:
         bits = 32 if family == IPv4 else 128
         if source > bits:
             raise WireError(f"ECS source length {source} exceeds family width")
+        if scope > bits:
+            raise WireError(f"ECS scope length {scope} exceeds family width")
         addr_bytes = (source + 7) // 8
-        raw = data[4:4 + addr_bytes]
+        raw = data[4:]
         if len(raw) < addr_bytes:
             raise WireError("ECS address bytes truncated")
-        value = int.from_bytes(raw.ljust(bits // 8, b"\x00"), "big")
-        address = IPAddress(family, value)
-        return cls(prefix=Prefix.of(address, source), scope=scope)
+        if len(raw) > addr_bytes:
+            raise WireError(
+                f"ECS address has {len(raw)} octets, SOURCE {source} needs {addr_bytes}")
+        value = int.from_bytes(raw, "big") << (bits - 8 * addr_bytes)
+        if value & ((1 << (bits - source)) - 1):
+            raise WireError(f"ECS address has bits set past SOURCE {source}")
+        return tuple.__new__(cls, (Prefix(family, value, source), scope))
 
 
-@dataclass(frozen=True, slots=True)
-class OptRecord:
-    """The decoded OPT pseudo-record."""
-
+class _OptRecordFields(NamedTuple):
     udp_payload_size: int = 1232
     extended_rcode: int = 0
     version: int = 0
     dnssec_ok: bool = False
     client_subnet: ClientSubnet | None = None
     raw_options: tuple[tuple[int, bytes], ...] = ()
+
+
+class OptRecord(Value, _OptRecordFields):
+    """The decoded OPT pseudo-record."""
+
+    __slots__ = ()
 
     def to_wire_fields(self) -> tuple[int, int, bytes]:
         """(class word, ttl word, rdata) for embedding into a message."""
@@ -102,15 +119,12 @@ class OptRecord:
 
     def record(self) -> ResourceRecord:
         """The pseudo-RR that carries this OPT in ADDITIONAL."""
-        class_word, ttl_word, rdata = self.to_wire_fields()
-        return ResourceRecord(
-            DomainName.root(),
-            OPTPseudo(udp_payload_size=class_word, ttl_word=ttl_word, data=rdata),
-            ttl=0,
-        )
+        return ResourceRecord(DomainName.root(), OPTPseudo(*self.to_wire_fields()), 0)
 
     @classmethod
     def from_wire_fields(cls, class_word: int, ttl_word: int, rdata: bytes) -> "OptRecord":
+        """Decode the OPT's fields and options; one ECS option at most
+        (RFC 7871 §6 — a second is malformed, not a replacement)."""
         client_subnet = None
         raw: list[tuple[int, bytes]] = []
         offset = 0
@@ -123,32 +137,38 @@ class OptRecord:
             if len(data) < length:
                 raise WireError("truncated OPT option body")
             offset += length
-            if code == _ECS_OPTION_CODE:
+            if code != _ECS_OPTION_CODE:
+                raw.append((code, data))
+            elif client_subnet is None:
                 client_subnet = ClientSubnet.unpack(data)
             else:
-                raw.append((code, data))
-        return cls(
-            udp_payload_size=class_word,
-            extended_rcode=(ttl_word >> 24) & 0xFF,
-            version=(ttl_word >> 16) & 0xFF,
-            dnssec_ok=bool(ttl_word & (1 << 15)),
-            client_subnet=client_subnet,
-            raw_options=tuple(raw),
-        )
+                raise WireError("more than one ECS option")
+        return tuple.__new__(cls, (
+            class_word,
+            (ttl_word >> 24) & 0xFF,
+            (ttl_word >> 16) & 0xFF,
+            ttl_word & 0x8000 != 0,
+            client_subnet,
+            tuple(raw),
+        ))
 
 
 def attach_opt(message: Message, opt: OptRecord) -> Message:
     """Return ``message`` with the OPT record appended to ADDITIONAL."""
-    return replace(message, additional=(*message.additional, opt.record()))
+    return message._replace(additional=(*message.additional, opt.record()))
 
 
 def extract_opt(message: Message) -> OptRecord | None:
-    """Pull the OPT record out of a decoded message, if present."""
+    """Pull the OPT record out of a decoded message, if present.
+
+    A message carrying two is malformed (RFC 6891 §6.1.1: FORMERR), so the
+    whole ADDITIONAL section is read."""
+    found = None
     for record in message.additional:
         if isinstance(record.rdata, OPTPseudo):
-            return OptRecord.from_wire_fields(
-                record.rdata.udp_payload_size,
-                record.rdata.ttl_word,
-                record.rdata.data,
-            )
-    return None
+            if found is not None:
+                raise WireError("more than one OPT record")
+            found = record.rdata
+    if found is None:
+        return None
+    return OptRecord.from_wire_fields(found.udp_payload_size, found.ttl_word, found.data)

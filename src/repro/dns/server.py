@@ -21,11 +21,13 @@ verify at the wire level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..netsim.addr import IPAddress
+from ..value import Value
 from . import edns
-from .records import NS, DomainName, Question, ResourceRecord, RRClass, RRType
+from .records import NS, DomainName, OPTPseudo, Question, ResourceRecord, RRClass, RRType
 from .wire import Message, Opcode, Rcode, WireError
 from .zone import Zone
 
@@ -46,10 +48,17 @@ MIN_UDP_PAYLOAD = 512
 MAX_MESSAGE_SIZE = 65535
 #: Flags byte 2 of an encoded header: the TC bit (RFC 1035 §4.1.1).
 _TC_BIT = 0x02
+_ROOT = DomainName.root()
 
 
-@dataclass(frozen=True, slots=True)
-class QueryContext:
+class _QueryContextFields(NamedTuple):
+    pop: str
+    resolver_address: IPAddress | None = None
+    client_subnet: str | None = None
+    transport: str = "udp"
+
+
+class QueryContext(Value, _QueryContextFields):
     """Everything the serving path knows about a query besides the question.
 
     ``pop`` is where the (anycast-routed) query arrived; ``resolver_address``
@@ -58,14 +67,18 @@ class QueryContext:
     these plus per-hostname account metadata.
     """
 
-    pop: str
-    resolver_address: IPAddress | None = None
-    client_subnet: str | None = None
-    transport: str = "udp"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Answer:
+class _AnswerFields(NamedTuple):
+    rcode: Rcode
+    records: tuple[ResourceRecord, ...] = ()
+    authority: tuple[ResourceRecord, ...] = ()
+    additional: tuple[ResourceRecord, ...] = ()
+    authoritative: bool = True
+
+
+class Answer(Value, _AnswerFields):
     """What an answer source returns for one question.
 
     A *referral* is NOERROR with empty ``records``, the delegation's NS
@@ -73,11 +86,7 @@ class Answer:
     points an iterative resolver at the child's servers.
     """
 
-    rcode: Rcode
-    records: tuple[ResourceRecord, ...] = ()
-    authority: tuple[ResourceRecord, ...] = ()
-    additional: tuple[ResourceRecord, ...] = ()
-    authoritative: bool = True
+    __slots__ = ()
 
 
 class AnswerSource:
@@ -113,12 +122,12 @@ class ZoneAnswerSource(AnswerSource):
 
         result = zone.lookup(question)
         if not result.found:
-            return Answer(Rcode.NXDOMAIN, authority=(zone.soa(),))
+            return Answer(Rcode.NXDOMAIN, (), (zone.soa(),))
         records = (*result.cname_chain, *result.answers)
         if not records:
             # NODATA: NOERROR with SOA in authority (negative-caching signal).
-            return Answer(Rcode.NOERROR, authority=(zone.soa(),))
-        return Answer(Rcode.NOERROR, records=records)
+            return Answer(Rcode.NOERROR, (), (zone.soa(),))
+        return Answer(Rcode.NOERROR, records)
 
     def _referral(self, zone: Zone, name: DomainName) -> Answer | None:
         """A delegation between the zone apex and ``name`` produces a
@@ -256,7 +265,7 @@ class AuthoritativeServer:
             return query.response(rcode=Rcode.FORMERR, aa=False)
         subnet = None if opt is None else opt.client_subnet
         if subnet is not None:
-            context = replace(context, client_subnet=str(subnet.prefix))
+            context = context._replace(client_subnet=str(subnet.prefix))
         question = query.questions[0]
         if question.rrclass not in (RRClass.IN, RRClass.ANY):
             self.stats.record(question.rrtype, Rcode.REFUSED)
@@ -268,15 +277,19 @@ class AuthoritativeServer:
         answer = self.source.answer(question, context)
         self.stats.record(question.rrtype, answer.rcode)
         additional = answer.additional
-        if opt is not None:
+        if subnet is not None:
+            # The client's prefix comes back scoped to all of it.
             echo = edns.OptRecord(
-                udp_payload_size=opt.udp_payload_size,
-                client_subnet=(
-                    None if subnet is None
-                    else edns.ClientSubnet(subnet.prefix, scope=subnet.prefix.length)
-                ),
+                opt.udp_payload_size,
+                client_subnet=edns.ClientSubnet(subnet.prefix, subnet.prefix.length),
             )
             additional = (*additional, echo.record())
+        elif opt is not None:
+            # A plain OPT's echo is the query's payload size, no flags and no
+            # options: built from that one 16-bit number, as a tuple.
+            additional = (*additional, tuple.__new__(ResourceRecord, (
+                _ROOT, tuple.__new__(OPTPseudo, (opt.udp_payload_size, 0, b"")), 0, RRClass.IN,
+            )))
         return query.response(
             answers=answer.records,
             authority=answer.authority,

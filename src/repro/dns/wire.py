@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ..netsim.addr import IPAddress
+from ..value import Value
 from .records import (
     A,
     AAAA,
@@ -70,6 +71,7 @@ _MEMBERS = {
     enum_cls: {member.value: member for member in enum_cls}
     for enum_cls in (Opcode, Rcode, RRType, RRClass)
 }
+_OPCODES, _RCODES = _MEMBERS[Opcode], _MEMBERS[Rcode]
 
 
 def _lenient(enum_cls, value: int):
@@ -83,10 +85,7 @@ def _lenient(enum_cls, value: int):
     return _MEMBERS[enum_cls].get(value, value)
 
 
-@dataclass(frozen=True, slots=True)
-class Flags:
-    """The header's second 16-bit word, unpacked."""
-
+class _FlagsFields(NamedTuple):
     qr: bool = False  # response?
     opcode: Opcode = Opcode.QUERY
     aa: bool = False  # authoritative answer
@@ -94,6 +93,12 @@ class Flags:
     rd: bool = True   # recursion desired
     ra: bool = False  # recursion available
     rcode: Rcode = Rcode.NOERROR
+
+
+class Flags(Value, _FlagsFields):
+    """The header's second 16-bit word, unpacked."""
+
+    __slots__ = ()
 
     def pack(self) -> int:
         word = 0
@@ -113,15 +118,16 @@ class Flags:
 
     @classmethod
     def unpack(cls, word: int) -> "Flags":
-        return cls(
-            qr=bool(word & (1 << 15)),
-            opcode=_lenient(Opcode, (word >> 11) & 0xF),
-            aa=bool(word & (1 << 10)),
-            tc=bool(word & (1 << 9)),
-            rd=bool(word & (1 << 8)),
-            ra=bool(word & (1 << 7)),
-            rcode=_lenient(Rcode, word & 0xF),
-        )
+        opcode, rcode = (word >> 11) & 0xF, word & 0xF
+        return tuple.__new__(cls, (
+            word & 0x8000 != 0,
+            _OPCODES.get(opcode, opcode),
+            word & 0x0400 != 0,
+            word & 0x0200 != 0,
+            word & 0x0100 != 0,
+            word & 0x0080 != 0,
+            _RCODES.get(rcode, rcode),
+        ))
 
 
 def encode_name(name: DomainName, out: bytearray, offsets: dict[tuple[str, ...], int]) -> None:
@@ -283,27 +289,21 @@ def _read_rrs(data: bytes, count: int, offset: int) -> tuple[list[ResourceRecord
         offset += 10
         if offset + rdlen > len(data):
             raise WireError("RDATA runs past end of message")
+        # Both TTLs below are inside RFC 2181's range: built as tuples.
         if rrtype_raw == RRType.OPT:
-            rdata: RData = OPTPseudo(
-                udp_payload_size=rrclass_raw,
-                ttl_word=ttl,
-                data=data[offset:offset + rdlen],
-            )
+            rdata: RData = OPTPseudo(rrclass_raw, ttl, data[offset:offset + rdlen])
             offset += rdlen
-            records.append(ResourceRecord(name, rdata, ttl=0))
+            records.append(tuple.__new__(ResourceRecord, (name, rdata, 0, RRClass.IN)))
             continue
         rdata = _decode_rdata(_lenient(RRType, rrtype_raw), data, offset, rdlen)
         offset += rdlen
-        records.append(
-            ResourceRecord(name, rdata, ttl & 0x7FFFFFFF, _lenient(RRClass, rrclass_raw))
-        )
+        records.append(tuple.__new__(ResourceRecord, (
+            name, rdata, ttl & 0x7FFFFFFF, _lenient(RRClass, rrclass_raw),
+        )))
     return records, offset
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A complete DNS message with all four sections."""
-
+class _MessageFields(NamedTuple):
     id: int
     flags: Flags
     questions: tuple[Question, ...] = ()
@@ -311,9 +311,24 @@ class Message:
     authority: tuple[ResourceRecord, ...] = ()
     additional: tuple[ResourceRecord, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.id <= 0xFFFF:
+
+class Message(Value, _MessageFields):
+    """A complete DNS message with all four sections."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: int,
+        flags: Flags,
+        questions: tuple[Question, ...] = (),
+        answers: tuple[ResourceRecord, ...] = (),
+        authority: tuple[ResourceRecord, ...] = (),
+        additional: tuple[ResourceRecord, ...] = (),
+    ) -> "Message":
+        if not 0 <= id <= 0xFFFF:
             raise ValueError("message ID must fit 16 bits")
+        return tuple.__new__(cls, (id, flags, questions, answers, authority, additional))
 
     # -- constructors ------------------------------------------------------
 
@@ -321,7 +336,7 @@ class Message:
     def query(cls, qid: int, name: DomainName | str, rrtype: RRType, rd: bool = True) -> "Message":
         if isinstance(name, str):
             name = DomainName.from_text(name)
-        return cls(id=qid, flags=Flags(qr=False, rd=rd), questions=(Question(name, rrtype),))
+        return cls(qid, Flags(rd=rd), (Question(name, rrtype),))
 
     def response(
         self,
@@ -332,16 +347,20 @@ class Message:
         additional: tuple[ResourceRecord, ...] = (),
         ra: bool = False,
     ) -> "Message":
-        """Build the response skeleton for this query (echoes id+opcode+question)."""
-        return Message(
-            id=self.id,
-            flags=Flags(qr=True, opcode=self.flags.opcode, aa=aa, rd=self.flags.rd,
-                        ra=ra, rcode=rcode),
-            questions=self.questions,
-            answers=answers,
-            authority=authority,
-            additional=additional,
-        )
+        """Build the response skeleton for this query (echoes id+opcode+question).
+
+        Both values are built from this message's own valid fields, so
+        neither needs its checks: they are built as tuples (DESIGN.md §17).
+        """
+        flags = self.flags
+        return tuple.__new__(Message, (
+            self.id,
+            tuple.__new__(Flags, (True, flags.opcode, aa, False, flags.rd, ra, rcode)),
+            self.questions,
+            answers,
+            authority,
+            additional,
+        ))
 
     @property
     def question(self) -> Question:
@@ -350,7 +369,7 @@ class Message:
         return self.questions[0]
 
     def with_answers(self, answers: tuple[ResourceRecord, ...]) -> "Message":
-        return replace(self, answers=answers)
+        return self._replace(answers=answers)
 
     # -- codec ---------------------------------------------------------------
 
@@ -456,11 +475,12 @@ class Message:
         answers, offset = _read_rrs(data, an, offset)
         authority, offset = _read_rrs(data, ns, offset)
         additional, offset = _read_rrs(data, ar, offset)
-        return cls(
-            id=qid,
-            flags=Flags.unpack(flagword),
-            questions=tuple(questions),
-            answers=tuple(answers),
-            authority=tuple(authority),
-            additional=tuple(additional),
-        )
+        # A 16-bit header field cannot fail the ID check: built as a tuple.
+        return tuple.__new__(cls, (
+            qid,
+            Flags.unpack(flagword),
+            tuple(questions),
+            tuple(answers),
+            tuple(authority),
+            tuple(additional),
+        ))

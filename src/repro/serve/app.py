@@ -18,13 +18,14 @@ hostname, so one world covers the truncation, stream, and chain paths.
 from __future__ import annotations
 
 import random
+import struct
 
 from ..core.authoritative import PolicyAnswerSource
 from ..core.policy import Policy, PolicyEngine
 from ..core.pool import AddressPool
-from ..dns.records import A, CNAME, DomainName, ResourceRecord, RRType, TXT
+from ..dns.records import A, CNAME, DomainName, OPTPseudo, ResourceRecord, RRType, TXT
 from ..dns.server import AuthoritativeServer, ZoneAnswerSource
-from ..dns.wire import Rcode
+from ..dns.wire import Message, Rcode
 from ..dns.zone import Zone
 from ..edge.customers import AccountType, Customer, CustomerRegistry
 from ..netsim.addr import parse_prefix
@@ -40,6 +41,7 @@ __all__ = [
     "DEFAULT_SEED",
     "build_server",
     "build_pool",
+    "wide_scope_query",
     "run_oneshot",
     "run_smoke",
 ]
@@ -96,6 +98,16 @@ def build_server(seed: int = DEFAULT_SEED) -> AuthoritativeServer:
     )
     source = PolicyAnswerSource(engine, customers, fallback=ZoneAnswerSource([zone]))
     return AuthoritativeServer(source, name="serve-auth")
+
+
+def wide_scope_query(qid: int) -> bytes:
+    """An A query for the agile hostname whose ECS option gives an IPv4 /24
+    a SCOPE PREFIX-LENGTH of 33, wider than the family: malformed, so the
+    answer is FORMERR and the worker that read it serves on."""
+    option = struct.pack("!HBB", 1, 24, 33) + bytes((203, 0, 113))
+    opt = OPTPseudo(1232, 0, struct.pack("!HH", 8, len(option)) + option)
+    query = Message.query(qid, AGILE_HOSTNAME, RRType.A)
+    return query._replace(additional=(ResourceRecord(DomainName.root(), opt, 0),)).encode()
 
 
 def build_pool(
@@ -190,20 +202,24 @@ def run_smoke(
     Every query must be answered (no timeouts), the one oversize answer
     must complete over TCP, and the pool must report zero malformed
     inputs — the wire path never silently eats a well-formed query.
+    Halfway through, one hostile query (:func:`wide_scope_query`) must come
+    back FORMERR and leave every worker serving and draining.
     """
     if queries < 1:
         raise ValueError("need at least one query")
     with build_pool(bind=bind, workers=workers, seed=seed) as pool:
         client = LoopbackClient(pool.address, timeout_s=timeout_s)
-        rcodes_ok = True
-        for _ in range(queries - 1):
-            outcome = client.query(AGILE_HOSTNAME)
-            rcodes_ok = rcodes_ok and outcome.message.flags.rcode == Rcode.NOERROR
+        plain = queries - 1
+        outcomes = [client.query(AGILE_HOSTNAME) for _ in range(plain // 2)]
+        hostile = client.query_udp_wire(wide_scope_query(0), 0).flags.rcode
+        outcomes += [client.query(AGILE_HOSTNAME) for _ in range(plain - plain // 2)]
+        rcodes_ok = all(o.message.flags.rcode == Rcode.NOERROR for o in outcomes)
         forced = client.query(BIG_HOSTNAME, RRType.TXT)
 
     counters = pool.snapshot()  # after stop: includes the drain markers
     ok = (
         rcodes_ok
+        and hostile == Rcode.FORMERR
         and client.stats.timeouts == 0
         and forced.transport == "tcp"
         and forced.truncated_first
@@ -219,4 +235,5 @@ def run_smoke(
         "counters": counters,
         "client_timeouts": client.stats.timeouts,
         "forced_tc_completed": forced.transport == "tcp",
+        "hostile_ecs_rcode": int(hostile),
     }

@@ -81,7 +81,7 @@ class LoopbackClient:
         qid = self._rng.getrandbits(16)
         wire = self._encode_query(qid, name, rrtype)
 
-        response = self._udp_roundtrip(wire, qid)
+        response = self.query_udp_wire(wire, qid)
         if not response.flags.tc:
             self._count_rcode(response)
             return QueryOutcome(response, transport="udp", truncated_first=False)
@@ -102,7 +102,9 @@ class LoopbackClient:
 
     # -- transports ----------------------------------------------------------
 
-    def _udp_roundtrip(self, wire: bytes, qid: int) -> Message:
+    def query_udp_wire(self, wire: bytes, qid: int) -> Message:
+        """One UDP exchange, retried on timeout; the answer as it came, TC
+        or not."""
         attempts = self.retries + 1
         for _ in range(attempts):
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:

@@ -41,7 +41,14 @@ class ProtocolCore:
 
     def __init__(self, server: AuthoritativeServer, pop: str = "edge") -> None:
         self.server = server
-        self.pop = pop
+        #: The context of a query whose resolver address is not given: one
+        #: per transport, built here rather than per query.
+        self._udp = QueryContext(pop, None, None, "udp")
+        self._tcp = QueryContext(pop, None, None, "tcp")
+
+    @property
+    def pop(self) -> str:
+        return self._udp.pop
 
     @property
     def stats(self):
@@ -49,18 +56,18 @@ class ProtocolCore:
 
     def datagram(self, data: bytes, resolver_address: IPAddress | None = None) -> bytes | None:
         """One UDP datagram; ``None`` means drop (malformed)."""
-        context = QueryContext(
-            pop=self.pop, resolver_address=resolver_address, transport="udp"
-        )
+        context = self._udp
+        if resolver_address is not None:
+            context = context._replace(resolver_address=resolver_address)
         return self.server.handle_wire(data, context)
 
     def stream_payload(
         self, data: bytes, resolver_address: IPAddress | None = None
     ) -> bytes | None:
         """One de-framed TCP message; ``None`` means the frame held garbage."""
-        context = QueryContext(
-            pop=self.pop, resolver_address=resolver_address, transport="tcp"
-        )
+        context = self._tcp
+        if resolver_address is not None:
+            context = context._replace(resolver_address=resolver_address)
         return self.server.handle_wire(data, context)
 
 

@@ -56,6 +56,10 @@ class Engine(str, enum.Enum):
 
 
 class LookupStage(enum.Enum):
+    # Members are singletons compared by identity, so identity hashes them,
+    # in C; ``Enum.__hash__`` is a Python call per ``stage_counts`` update.
+    __hash__ = object.__hash__
+
     CONNECTED = "connected"
     SK_LOOKUP = "sk_lookup"
     LISTENER = "listener"

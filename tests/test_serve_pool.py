@@ -13,7 +13,7 @@ from repro.dns.records import RRType
 from repro.dns.wire import Message, Rcode
 from repro.obs import MetricsRegistry, watch_serve
 from repro.serve import LoopbackClient, ServeCounters, build_pool, parse_bind
-from repro.serve.app import AGILE_HOSTNAME, BIG_HOSTNAME, BIG_TXT_RECORDS
+from repro.serve.app import AGILE_HOSTNAME, BIG_HOSTNAME, BIG_TXT_RECORDS, wide_scope_query
 from repro.serve.counters import LATENCY_BUCKETS_US
 
 
@@ -160,6 +160,23 @@ class TestStreamCounting:
         # Stopped: the worker has drained, so its row is final.
         snap = pool.snapshot()
         assert (snap["queries"], snap["responses"], snap["tcp_sessions"]) == (2, 2, 1)
+
+
+class TestHostileDatagram:
+    def test_worker_answers_formerr_and_keeps_serving(self):
+        # An ECS scope wider than IPv4 used to raise out of the worker's
+        # loop and end the process.  One worker, so the plain query after
+        # it reaches the same process.
+        with build_pool(workers=1, drain_s=2.0) as pool:
+            client = LoopbackClient(pool.address, timeout_s=2.0, retries=0)
+            hostile = client.query_udp_wire(wide_scope_query(0x0EC5), 0x0EC5)
+            assert hostile.flags.rcode == Rcode.FORMERR
+            assert client.query(AGILE_HOSTNAME).message.flags.rcode == Rcode.NOERROR
+            assert pool.alive() == 1
+        snap = pool.snapshot()
+        assert client.stats.timeouts == 0
+        assert (snap["queries"], snap["responses"], snap["malformed"], snap["drained"]) == (
+            2, 2, 0, 1)
 
 
 class TestRepointAndDrain:

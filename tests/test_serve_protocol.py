@@ -9,10 +9,12 @@ transport framing is the *only* thing it adds.
 """
 
 import random
+import struct
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dns import edns
 from repro.dns.records import (
@@ -34,6 +36,7 @@ from repro.serve.app import (
     BIG_HOSTNAME,
     BIG_TXT_RECORDS,
     build_server,
+    wide_scope_query,
 )
 from repro.serve.protocol import ProtocolCore, StreamSession
 
@@ -53,11 +56,15 @@ def deframe_all(data: bytes) -> list[Message]:
     return out
 
 
-@pytest.fixture
-def core() -> ProtocolCore:
+def _zone_core() -> ProtocolCore:
     zone = Zone("example.com")
     zone.add_address("www.example.com", A(parse_address("192.0.2.1")), ttl=60)
     return ProtocolCore(AuthoritativeServer(ZoneAnswerSource([zone])))
+
+
+@pytest.fixture
+def core() -> ProtocolCore:
+    return _zone_core()
 
 
 class TestStreamSession:
@@ -170,7 +177,7 @@ class TestMalformedDatagrams:
             OPTPseudo(udp_payload_size=1232, ttl_word=0, data=b"\x00\x08\x00\x10\x00\x01"),
             ttl=0,
         )
-        response = core.datagram(replace(query, additional=(opt,)).encode())
+        response = core.datagram(query._replace(additional=(opt,)).encode())
         assert Message.decode(response).flags.rcode == Rcode.FORMERR
 
     def test_unknown_class_refused(self, core):
@@ -196,7 +203,7 @@ class TestMalformedDatagrams:
 
     def test_response_bit_set_gets_formerr(self, core):
         query = Message.query(9, "www.example.com", RRType.A)
-        response = core.datagram(replace(query, flags=Flags(qr=True)).encode())
+        response = core.datagram(query._replace(flags=Flags(qr=True)).encode())
         assert Message.decode(response).flags.rcode == Rcode.FORMERR
 
     def test_seeded_junk_never_raises(self, core):
@@ -215,6 +222,96 @@ class TestMalformedDatagrams:
                 wire[rng.randrange(len(wire))] = rng.randrange(256)
             out = core.datagram(bytes(wire))
             assert out is None or Message.decode(out)
+
+
+def _ecs(family: int, source: int, scope: int, address: bytes) -> bytes:
+    """One ECS option TLV (RFC 7871 §6), fields as given, checked by nobody."""
+    body = struct.pack("!HBB", family, source, scope) + address
+    return struct.pack("!HH", 8, len(body)) + body
+
+
+def _edns_query(*options: bytes, opts: int = 1) -> bytes:
+    """An A query with ``opts`` OPT records, each carrying ``options``."""
+    opt = ResourceRecord(DomainName.root(), OPTPseudo(1232, 0, b"".join(options)), 0)
+    return Message.query(11, "www.example.com", RRType.A)._replace(
+        additional=(opt,) * opts).encode()
+
+
+def _rcode(response: bytes) -> int:
+    return Message.decode(response).flags.rcode
+
+
+class TestHostileEdns:
+    """Malformed EDNS that decodes as a message is answered FORMERR
+    (RFC 6891 §6.1.1, RFC 7871 §6), never raised and never NOERROR."""
+
+    @pytest.mark.parametrize("family,source,scope,address", [
+        (1, 24, 33, b"\xcb\x00\x71"),
+        (2, 56, 129, b"\x20\x01\x0d\xb8\x00\x00\x01"),
+    ], ids=["v4-scope-33", "v6-scope-129"])
+    def test_scope_wider_than_the_family_gets_formerr(self, core, family, source, scope,
+                                                      address):
+        # Once a ValueError out of ``datagram``, which ended the worker.
+        assert _rcode(core.datagram(_edns_query(_ecs(family, source, scope, address)))) \
+            == Rcode.FORMERR
+
+    def test_the_smoke_query_gets_formerr(self):
+        response = ProtocolCore(build_server()).datagram(wide_scope_query(3))
+        assert response[:2] == b"\x00\x03" and _rcode(response) == Rcode.FORMERR
+
+    def test_two_opt_records_get_formerr(self, core):
+        assert _rcode(core.datagram(_edns_query(opts=2))) == Rcode.FORMERR
+        assert _rcode(core.datagram(_edns_query(_ecs(1, 24, 0, b"\xcb\x00\x71"), opts=2))) \
+            == Rcode.FORMERR
+
+    def test_two_ecs_options_get_formerr(self, core):
+        ecs = _ecs(1, 24, 0, b"\xcb\x00\x71")
+        assert _rcode(core.datagram(_edns_query(ecs))) == Rcode.NOERROR
+        assert _rcode(core.datagram(_edns_query(ecs, ecs))) == Rcode.FORMERR
+
+    def test_address_longer_than_source_needs_gets_formerr(self, core):
+        assert _rcode(core.datagram(_edns_query(_ecs(1, 24, 0, b"\xcb\x00\x71\x00")))) \
+            == Rcode.FORMERR
+
+    def test_address_bits_past_source_get_formerr(self, core):
+        # /22 leaves the low two bits of the third octet: 0x71 sets one.
+        assert _rcode(core.datagram(_edns_query(_ecs(1, 22, 0, b"\xcb\x00\x71")))) \
+            == Rcode.FORMERR
+        assert _rcode(core.datagram(_edns_query(_ecs(1, 22, 0, b"\xcb\x00\x70")))) \
+            == Rcode.NOERROR
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.sampled_from([1, 2, 0, 3]),
+    source=st.integers(0, 136),
+    scope=st.integers(0, 136),
+    length_delta=st.sampled_from([0, 0, 0, -1, 1, 2]),
+    value=st.integers(0, (1 << 144) - 1),
+    clean=st.booleans(),
+    count=st.integers(0, 3),
+)
+def test_datagram_formerrs_exactly_the_malformed_ecs(family, source, scope, length_delta,
+                                                     value, clean, count):
+    need = (source + 7) // 8
+    length = max(0, need + length_delta)
+    if clean and source < 8 * length:
+        value &= ~((1 << (8 * length - source)) - 1)
+    address = value.to_bytes(19, "big")[-length:] if length else b""
+    bits = {1: 32, 2: 128}.get(family)
+    malformed = count > 1 or count == 1 and (
+        bits is None or source > bits or scope > bits or length != need
+        or int.from_bytes(address, "big") & ((1 << (8 * need - source)) - 1) != 0
+    )
+    response = _zone_core().datagram(_edns_query(*[_ecs(family, source, scope, address)] * count))
+    decoded = Message.decode(response)  # an answer, whatever came in
+    assert decoded.flags.rcode == (Rcode.FORMERR if malformed else Rcode.NOERROR)
+    if not malformed:
+        echo = edns.extract_opt(decoded)
+        if count:
+            assert echo.client_subnet.prefix.length == echo.client_subnet.scope == source
+        else:
+            assert echo.client_subnet is None
 
 
 class TestDifferentialWireVsSim:
@@ -350,7 +447,38 @@ class TestCallCounts:
             OPTPseudo(udp_payload_size=1232, ttl_word=0, data=b"\x00\x08\x00\x10\x00\x01"),
             ttl=0,
         )
-        query = replace(Message.query(5, AGILE_HOSTNAME, RRType.A), additional=(opt,)).encode()
+        query = Message.query(5, AGILE_HOSTNAME, RRType.A)._replace(additional=(opt,)).encode()
         with self._counted() as calls:
             assert core.datagram(query)[3] & 0x0F == Rcode.FORMERR
         assert calls == {"decode": 1, "encode": 1, "extract_opt": 1, "attach_opt": 0}
+
+    def test_contexts_are_built_per_core_not_per_query(self):
+        core = ProtocolCore(build_server(), pop="serve")
+        query = self._query(AGILE_HOSTNAME, RRType.A)
+        contexts = []
+        answer = core.server.source.answer
+
+        def seen(question, context):
+            contexts.append(context)
+            return answer(question, context)
+
+        built = []
+        new = QueryContext.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core.server.source, "answer", seen)
+            patch.setattr(QueryContext, "__new__", counted)
+            core.datagram(query)
+            core.datagram(query)
+            StreamSession(core).feed(frame(query))
+            assert built == []
+            resolver = parse_address("198.51.100.53")
+            core.datagram(query, resolver)
+        assert contexts[0] is contexts[1]
+        assert contexts[:3] == [QueryContext("serve"), QueryContext("serve"),
+                                QueryContext("serve", transport="tcp")]
+        assert contexts[3] == QueryContext("serve", resolver) and core.pop == "serve"

@@ -8,8 +8,10 @@ generated field values a converted type and its reference must agree on
 accept / raise (type and message), ``repr``, ``str`` and ``hash``, and two
 converted values must be equal exactly when their references are.  A
 converted value must also refuse assignment, carry no ``__dict__``,
-survive pickling, and never equal a bare tuple or a value of another
-converted type with the same fields.
+pickle exactly when its reference does (and round-trip), and never equal a
+bare tuple or a value of another converted type with the same fields.
+Beyond the types themselves, the wire path's responses to a seeded corpus
+are pinned to the bytes the dataclasses produced.
 
 Labels stay ASCII here: the one intended difference, the converted
 ``DomainName`` refusing non-ASCII labels, is pinned in
@@ -19,9 +21,11 @@ Labels stay ASCII here: the one intended difference, the converted
 from __future__ import annotations
 
 import ast
+import hashlib
 import ipaddress
 import os
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -31,14 +35,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dns import records, wire
+from repro.core import policy
+from repro.core.pool import AddressPool
+from repro.dns import edns, records, server, wire
 from repro.dns.records import DNSNameError, RRClass, RRType
+from repro.dns.wire import Opcode, Rcode
 from repro.netsim import addr, packet
-from repro.netsim.addr import AddressFamilyError, IPv4, IPv6
+from repro.netsim.addr import AddressFamilyError, IPv4, IPv6, Prefix, parse_prefix
 from repro.netsim.packet import Protocol
 from repro.sockets import lookup
 from repro.sockets.lookup import LookupStage
 from repro.sockets.socktable import Socket
+from repro.serve import ProtocolCore, build_server
+from repro.serve.app import AGILE_HOSTNAME, ALIAS_HOSTNAME, BIG_HOSTNAME
 from repro.value import Value
 from repro.web import http, tls
 from repro.web.http import Status
@@ -259,6 +268,84 @@ class Question:
         return f"{self.name} {self.rrclass.name} {self.rrtype.name}"
 
 
+@dataclass(frozen=True, slots=True)
+class Flags:
+    qr: bool = False
+    opcode: Opcode = Opcode.QUERY
+    aa: bool = False
+    tc: bool = False
+    rd: bool = True
+    ra: bool = False
+    rcode: Rcode = Rcode.NOERROR
+
+
+@dataclass(frozen=True, slots=True)
+class Message:
+    id: int
+    flags: wire.Flags
+    questions: tuple[records.Question, ...] = ()
+    answers: tuple[records.ResourceRecord, ...] = ()
+    authority: tuple[records.ResourceRecord, ...] = ()
+    additional: tuple[records.ResourceRecord, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.id <= 0xFFFF:
+            raise ValueError("message ID must fit 16 bits")
+
+
+@dataclass(frozen=True, slots=True)
+class QueryContext:
+    pop: str
+    resolver_address: addr.IPAddress | None = None
+    client_subnet: str | None = None
+    transport: str = "udp"
+
+
+@dataclass(frozen=True, slots=True)
+class Answer:
+    rcode: Rcode
+    records: tuple[records.ResourceRecord, ...] = ()
+    authority: tuple[records.ResourceRecord, ...] = ()
+    additional: tuple[records.ResourceRecord, ...] = ()
+    authoritative: bool = True
+
+
+@dataclass(frozen=True, slots=True)
+class ClientSubnet:
+    prefix: Prefix
+    scope: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.scope <= self.prefix.bits:
+            raise ValueError(f"scope {self.scope} exceeds address width")
+
+
+@dataclass(frozen=True, slots=True)
+class OptRecord:
+    udp_payload_size: int = 1232
+    extended_rcode: int = 0
+    version: int = 0
+    dnssec_ok: bool = False
+    client_subnet: edns.ClientSubnet | None = None
+    raw_options: tuple[tuple[int, bytes], ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class PolicyAttributes:
+    pop: str
+    account_type: str | None = None
+    family: int = 4
+    hostname: str = ""
+    client_subnet: str | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class PolicyDecision:
+    policy: policy.Policy
+    address: addr.IPAddress
+    ttl: int
+
+
 # -- field values: small pools, so that equal values and every error occur -----
 
 _SOCKET = Socket(fd=3, protocol=Protocol.TCP)
@@ -280,6 +367,18 @@ _rdata = st.one_of(
     st.builds(records.CNAME, _name), st.builds(records.NS, _name),
 )
 _small = st.sampled_from([0, 1, 300])
+_question = st.builds(records.Question, _name, st.sampled_from([RRType.A, RRType.TXT]))
+_record = st.builds(records.ResourceRecord, _name, _rdata, _small)
+_section = st.lists(_record, max_size=2).map(tuple)
+_flag_fields = st.tuples(
+    st.booleans(), st.sampled_from([*Opcode, 1, 15]), st.booleans(), st.booleans(),
+    st.booleans(), st.booleans(), st.sampled_from([*Rcode, 9]),
+)
+_prefix = st.sampled_from([parse_prefix(text) for text in
+                           ("0.0.0.0/0", "203.0.113.0/24", "2001:db8::/56")])
+_subnet = _prefix.map(edns.ClientSubnet)
+_POLICIES = tuple(policy.Policy(name, AddressPool(parse_prefix("192.0.2.0/24"), name=name))
+                  for name in ("agile", "static"))
 
 CASES = {
     "IPAddress": (addr.IPAddress, IPAddress, st.tuples(
@@ -324,6 +423,33 @@ CASES = {
     )),
     "Question": (records.Question, Question, st.tuples(
         _name, st.sampled_from(RRType), st.sampled_from(RRClass),
+    )),
+    "Flags": (wire.Flags, Flags, _flag_fields),
+    "Message": (wire.Message, Message, st.tuples(
+        st.sampled_from([-1, 0, 7, 0xFFFF, 0x10000]), _flag_fields.map(lambda f: wire.Flags(*f)),
+        st.lists(_question, max_size=2).map(tuple), _section, _section, _section,
+    )),
+    "QueryContext": (server.QueryContext, QueryContext, st.tuples(
+        st.sampled_from(["dc1", "serve"]), st.none() | _v4,
+        st.sampled_from([None, "203.0.113.0/24"]), st.sampled_from(["udp", "tcp"]),
+    )),
+    "Answer": (server.Answer, Answer, st.tuples(
+        st.sampled_from(Rcode), _section, _section, _section, st.booleans(),
+    )),
+    "ClientSubnet": (edns.ClientSubnet, ClientSubnet, st.tuples(
+        _prefix, st.sampled_from([-1, 0, 24, 32, 33, 128, 129]),
+    )),
+    "OptRecord": (edns.OptRecord, OptRecord, st.tuples(
+        st.sampled_from([512, 1232]), st.sampled_from([0, 1]), st.sampled_from([0, 1]),
+        st.booleans(), st.none() | _subnet, st.sampled_from([(), ((10, b"\x01"),)]),
+    )),
+    "PolicyAttributes": (policy.PolicyAttributes, PolicyAttributes, st.tuples(
+        st.sampled_from(["dc1", "lhr"]), st.sampled_from([None, "free", "enterprise"]),
+        st.sampled_from([IPv4, IPv6]), st.sampled_from(["", "www.example.com"]),
+        st.sampled_from([None, "203.0.113.0/24"]),
+    )),
+    "PolicyDecision": (policy.PolicyDecision, PolicyDecision, st.tuples(
+        st.sampled_from(_POLICIES), _v4, st.sampled_from([0, 30]),
     )),
 }
 VALUE_TYPES = tuple(new for new, _, _ in CASES.values())
@@ -397,14 +523,21 @@ def test_addresses_order_as_the_reference_did(data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_immutable_slot_free_and_picklable(name, data):
-    for new, _ in _pairs(data, name):
+    for new, ref in _pairs(data, name):
         for field in type(new)._fields:
             with pytest.raises(AttributeError):
                 setattr(new, field, getattr(new, field))
         with pytest.raises(AttributeError):
             new.extra = 1
         assert not hasattr(new, "__dict__")
-        back = pickle.loads(pickle.dumps(new))
+        # A field may refuse pickling (a Policy's read-only match mapping
+        # does): then the value refuses it as its reference does.
+        dumped, new_exc = _build(pickle.dumps, (new,))
+        _, ref_exc = _build(pickle.dumps, (ref,))
+        assert (type(new_exc), str(new_exc)) == (type(ref_exc), str(ref_exc))
+        if dumped is None:
+            continue
+        back = pickle.loads(dumped)
         assert type(back) is type(new) and repr(back) == repr(new)
         if _SOCKET not in new:  # a pickled socket is a copy, equal only to itself
             assert back == new and hash(back) == hash(new)
@@ -463,9 +596,13 @@ def test_from_text_matches_the_reference(text):
 # -- hash values are the dataclasses' to the bit --------------------------------
 
 _PIN = """
+from repro.core.policy import PolicyAttributes
+from repro.dns.edns import ClientSubnet, OptRecord
 from repro.dns.records import (A, AAAA, CNAME, NS, SOA, TXT, DomainName, OPTPseudo,
                                Question, ResourceRecord, RRType)
-from repro.netsim.addr import IPAddress
+from repro.dns.server import Answer, QueryContext
+from repro.dns.wire import Flags, Message, Rcode
+from repro.netsim.addr import IPAddress, Prefix
 from repro.netsim.packet import FiveTuple, Packet, Protocol
 from repro.web.http import Request, Response, Status
 from repro.web.tls import ClientHello
@@ -473,18 +610,25 @@ from repro.web.tls import ClientHello
 v4, v6 = IPAddress.from_text("192.0.2.1"), IPAddress.from_text("2001:db8::1")
 name = DomainName.from_text("www.example.com")
 t5 = FiveTuple(Protocol.TCP, IPAddress.from_text("198.51.100.7"), 40000, v4, 443)
+ecs = ClientSubnet(Prefix.from_text("203.0.113.0/24"), 24)
 print([hash(v) for v in (
     v4, v6, t5, Packet(t5, syn=True), ClientHello("www.example.com"),
     Request("www.example.com", "/a"), Response(Status.OK, 1234, "edge-1", True, 0.02),
     name, DomainName(()), Question(name, RRType.A), A(v4), AAAA(v6), CNAME(name),
     NS(name), SOA(name, name, 1, 2, 3, 4, 5), TXT(("hello", "world")),
     OPTPseudo(1232, 0, b""), ResourceRecord(name, A(v4), 300),
+    Flags(qr=True, aa=True), Message(7, Flags(), (Question(name, RRType.A),)),
+    QueryContext("dc1", v4, "203.0.113.0/24", "udp"),
+    Answer(Rcode.NOERROR, (ResourceRecord(name, A(v4), 300),)), ecs,
+    OptRecord(1232, 0, 0, False, ecs),
+    PolicyAttributes("dc1", "free", 4, "www.example.com", "203.0.113.0/24"),
 )])
 """
 
 #: What the frozen dataclasses hashed the values above to, under
 #: ``PYTHONHASHSEED=0``.  (``None`` hashes by address before Python 3.12,
-#: so no pinned value holds one.)
+#: so no pinned value holds one; nor a ``PolicyDecision``, whose policy
+#: hashes by identity.)
 _PINNED = [
     -3290444613702400609, 3835154283381695452, -495087478799257892,
     -2922682365544030413, -6277210478335340318, -7941621089843357710,
@@ -492,6 +636,9 @@ _PINNED = [
     7691800312167272089, 5334339999568222686, -6379116538691073752,
     3950927048302105170, 3950927048302105170, -7236127150539782030,
     -6390247806941985728, 2088338460818168044, -2576769537040200869,
+    -2741664984704633621, -3766577683315606593, -5830327308627020777,
+    -7513447163108241202, 2851447173640740869, -7431879930964366915,
+    -5941006929039320709,
 ]
 
 
@@ -502,3 +649,49 @@ def test_hash_values_are_the_dataclass_hashes_under_a_fixed_seed():
     out = subprocess.run([sys.executable, "-c", _PIN], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert ast.literal_eval(out) == _PINNED
+
+
+# -- the wire path's bytes are the dataclasses' ------------------------------------
+
+
+def _wire_corpus(seed: int = 0x5EED) -> list[bytes]:
+    """Seeded queries over every branch a plain query can take: a minted A,
+    a CNAME chain, NXDOMAIN, an oversize TXT (truncated at 512 and 1232, whole
+    at 4096), AAAA (NODATA), and ECS of either family at any source length,
+    each with or without an OPT of a drawn payload size."""
+    rng = random.Random(seed)
+    wires = []
+    for qid in range(400):
+        kind = rng.choice(("a", "alias", "nx", "big", "ecs", "aaaa"))
+        name, rrtype = {
+            "a": (AGILE_HOSTNAME, RRType.A), "alias": (ALIAS_HOSTNAME, RRType.A),
+            "nx": (f"nx-{rng.getrandbits(32):08x}.example.com", RRType.A),
+            "big": (BIG_HOSTNAME, RRType.TXT), "ecs": (AGILE_HOSTNAME, RRType.A),
+            "aaaa": (AGILE_HOSTNAME, RRType.AAAA),
+        }[kind]
+        query = wire.Message.query(qid, name, rrtype)
+        payload = rng.choice((None, 512, 1232, 4096))
+        if kind == "ecs":
+            family = rng.choice((IPv4, IPv6))
+            bits = 32 if family == IPv4 else 128
+            address = addr.IPAddress(family, rng.getrandbits(bits))
+            subnet = edns.ClientSubnet(Prefix.of(address, rng.randint(0, bits)))
+            query = edns.attach_opt(query, edns.OptRecord(payload or 1232, client_subnet=subnet))
+        elif payload is not None:
+            query = edns.attach_opt(query, edns.OptRecord(payload))
+        wires.append(query.encode())
+    return wires
+
+
+#: sha256 over the length-prefixed responses to ``_wire_corpus()`` from the
+#: frozen-dataclass wire path (same world, same seed).
+_RESPONSES_SHA256 = "dcfb993ea253f39ba0f8e5f0aa549034df1f5c1af492ee9d7b5f4c67e5c61178"
+
+
+def test_datagram_responses_are_the_dataclass_bytes():
+    core = ProtocolCore(build_server(0xD1FF))
+    digest = hashlib.sha256()
+    for query in _wire_corpus():
+        response = core.datagram(query)
+        digest.update(len(response).to_bytes(2, "big") + response)
+    assert digest.hexdigest() == _RESPONSES_SHA256

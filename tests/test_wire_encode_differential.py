@@ -9,7 +9,6 @@ change without the reference changing too.
 """
 
 import struct
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,10 +104,9 @@ def _ref_truncated(response: Message, limit: int) -> bytes:
     extra = [rr for rr in response.additional if not isinstance(rr.rdata, OPTPseudo)]
     answers = list(response.answers)
     authority = list(response.authority)
-    truncated = replace(response, flags=replace(response.flags, tc=True))
+    truncated = response._replace(flags=response.flags._replace(tc=True))
     while True:
-        truncated = replace(
-            truncated,
+        truncated = truncated._replace(
             answers=tuple(answers),
             authority=tuple(authority),
             additional=(*extra, *opts),
@@ -219,7 +217,7 @@ def test_only_header_question_and_opt_fit():
         (_txt_rr("big.example.com", "x" * 255), _txt_rr("big.example.com", "y" * 255)),
         (), (), OptRecord(udp_payload_size=512),
     )
-    big_first = replace(response, answers=(
+    big_first = response._replace(answers=(
         ResourceRecord(DomainName.from_text("big.example.com"),
                        TXT(("x" * 255, "y" * 255)), 300),
     ))
