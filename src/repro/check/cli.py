@@ -11,7 +11,10 @@ Check modes:
   (:mod:`repro.check.config`) and verify *it*, plus any ``lint`` paths it
   names.  Broken configs exit non-zero with one finding per defect.
 
-``--symbolic`` adds the exact packet-space passes (SK100/SK101);
+Both modes run the program, control-plane and symbolic passes (plus the
+determinism lint when there are paths to lint); see
+:mod:`repro.check` for which finding answers which question.  CP008's
+live probe runs only against the built deployment.
 ``--only <name>`` restricts the run to named checkers — an unknown name
 is a typed :class:`UnknownCheckerError` and exit code 2, never a silent
 no-op run.  ``python -m repro plan <plan.json>`` verifies a rebind plan
@@ -93,7 +96,6 @@ def run_check(
     strict: bool = False,
     no_deployment: bool = False,
     only: list[str] | None = None,
-    symbolic: bool = False,
 ) -> tuple[str, int]:
     """Run the requested passes; returns (rendered report, exit code)."""
     selected: list[Checker] | None = None
@@ -128,10 +130,6 @@ def run_check(
         ctx.lint_paths = _default_lint_paths()
     if no_lint:
         ctx.lint_paths = []
-    if selected is None and symbolic:
-        selected = [_make_program(), _make_controlplane(), _make_symbolic()]
-        if ctx.lint_paths:
-            selected.append(_make_determinism())
     report: Report = run_checkers(ctx, selected)
     return report.render(), report.exit_code(strict=strict)
 

@@ -15,20 +15,24 @@ Checks:
 * ``CP002 unlistened-pool``    — pool no edge server terminates;
 * ``CP003 pool-overlap``       — distinct policies minting from overlapping
   address space (load accounting and DoS attribution become ambiguous);
-* ``CP004 standby-undispatched`` — a failover pool the monitor would swap
-  in that no program's redirect rules cover: the §6 mitigation move would
-  itself blackhole;
+* ``CP004 standby-undispatched`` — standby space the monitor would swap in
+  (pool × service ports × {tcp, udp}) that a lookup path's live redirects
+  leave uncovered: the §6 mitigation move would itself blackhole;
 * ``CP005/CP006`` — TTL sanity: TTL 0 disables caching (DNS load, §5.2),
   TTLs past the horizon defeat TTL-bounded agility (§4.4);
 * ``CP007 soa-minimum``        — negative-TTL sanity for the zone;
-* ``CP008 unreachable-address`` — sampled end-to-end reachability: every
-  address a policy can mint must route to a PoP and dispatch to a
-  listening socket (live deployment), or be covered by announcement +
-  redirect rules (config mode);
+* ``CP008 unreachable-address`` — the live probe (deployment only):
+  sampled mintable addresses replayed on every service port through real
+  BGP catchments and real sockets.  It cross-checks the model that SK100
+  and SK006 (:mod:`repro.check.symbolic`, :mod:`repro.check.program`)
+  prove exactly;
 * ``CP009 shadowed-policy``    — a policy that owns no cell of the engine's
   first-match index (:class:`~repro.core.policy.PolicyIndex`): earlier
   policies answer everything it matches, or its match can never hold.  The
   policy-table analogue of ``SK002``.
+
+Every coverage and dispatch verdict is set arithmetic in the packet-space
+algebra of :mod:`repro.check.symbolic`.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ import random
 
 from ..core.policy import Policy, PolicyIndex
 from ..core.pool import AddressPool
-from ..netsim.addr import IPAddress, Prefix
+from ..netsim.addr import IPAddress
 from ..netsim.packet import FiveTuple, Packet, Protocol
-from ..sockets.sklookup import Verdict
-from .core import Checker, CheckContext, Finding, PolicyInfo, ProgramView, Severity
+from .core import Checker, CheckContext, Finding, PolicyInfo, Severity
+from .symbolic import PacketSpace, mintable_space, prefix_space, view_verdicts
 
 __all__ = ["ControlPlaneChecker", "sample_pool_addresses"]
 
@@ -80,32 +84,39 @@ class ControlPlaneChecker(Checker):
 
     def run(self, ctx: CheckContext) -> list[Finding]:
         findings: list[Finding] = []
+        announced, listening = prefix_space(ctx.announced), prefix_space(ctx.listening)
         for policy in ctx.policies:
-            findings.extend(self._check_coverage(ctx, policy.pool, f"policy:{policy.name}"))
+            where = f"policy:{policy.name}"
+            findings.extend(self._check_coverage(ctx, announced, listening, policy.pool, where))
             findings.extend(self._check_ttl(ctx, policy))
         findings.extend(self._check_overlaps(ctx))
         findings.extend(self._check_shadowed(ctx))
         for pool in ctx.standby_pools:
             where = f"standby:{pool.name}"
-            findings.extend(self._check_coverage(ctx, pool, where))
+            findings.extend(self._check_coverage(ctx, announced, listening, pool, where))
             findings.extend(self._check_standby_dispatch(ctx, pool, where))
         findings.extend(self._check_soa_minimum(ctx))
-        for policy in ctx.policies:
-            findings.extend(self._check_end_to_end(ctx, policy))
+        if ctx.deployment is not None:
+            for policy in ctx.policies:
+                findings.extend(self._check_end_to_end(ctx, policy))
         return findings
 
     # -- CP001/CP002: route + termination coverage --------------------------------
 
-    def _check_coverage(self, ctx: CheckContext, pool: AddressPool, where: str) -> list[Finding]:
+    def _check_coverage(
+        self, ctx: CheckContext, announced: PacketSpace, listening: PacketSpace,
+        pool: AddressPool, where: str,
+    ) -> list[Finding]:
         findings = []
-        if ctx.announced and not ctx.covered_by_announced(pool.advertised):
+        space = prefix_space((pool.advertised,))
+        if ctx.announced and not announced.covers(space):
             findings.append(Finding(
                 "CP001", "unrouted-pool", Severity.ERROR,
                 f"pool {pool.advertised} is outside every announced prefix; "
                 "minted answers are unroutable",
                 where, "announce the covering prefix via BGP, or re-home the pool",
             ))
-        if ctx.listening and not ctx.covered_by_listening(pool.advertised):
+        if ctx.listening and not listening.covers(space):
             findings.append(Finding(
                 "CP002", "unlistened-pool", Severity.ERROR,
                 f"no edge server terminates {pool.advertised}; connections to "
@@ -119,11 +130,12 @@ class ControlPlaneChecker(Checker):
 
     def _check_overlaps(self, ctx: CheckContext) -> list[Finding]:
         findings = []
+        spaces = [prefix_space((p.pool.advertised,)) for p in ctx.policies]
         for i, a in enumerate(ctx.policies):
-            for b in ctx.policies[i + 1:]:
+            for j, b in enumerate(ctx.policies[i + 1:], i + 1):
                 if a.pool is b.pool:
                     continue  # sharing one pool object is a deliberate choice
-                if a.pool.advertised.overlaps(b.pool.advertised):
+                if not spaces[i].intersect(spaces[j]).is_empty():
                     findings.append(Finding(
                         "CP003", "pool-overlap", Severity.WARNING,
                         f"pool {a.pool.advertised} overlaps policy {b.name!r}'s "
@@ -204,42 +216,37 @@ class ControlPlaneChecker(Checker):
     def _check_standby_dispatch(
         self, ctx: CheckContext, pool: AddressPool, where: str
     ) -> list[Finding]:
-        if not ctx.programs:
-            return []
-        if self._any_program_dispatches(ctx, pool.advertised):
-            return []
+        standby = mintable_space(pool, ctx.service_ports)
+        messages: dict[str, None] = {}
+        for path, views in sorted(ctx.paths().items()):
+            verdicts = view_verdicts(views, standby)
+            # Drop, pass and miss: everything no live redirect takes.
+            left = PacketSpace.from_disjoint(
+                rect for key, space in verdicts.items()
+                if not isinstance(key, tuple) for rect in space
+            )
+            if left.is_empty():
+                continue
+            if left.points == standby.points:
+                messages[f"standby pool {pool.advertised} is not covered by any "
+                         "sk_lookup redirect rule with a live socket"] = None
+            else:
+                messages[f"standby pool {pool.advertised} leaves {len(left)} "
+                         f"region(s) without a live sk_lookup redirect on path "
+                         f"{path!r} ({left.render(limit=4)})"] = None
         return [Finding(
             "CP004", "standby-undispatched", Severity.ERROR,
-            f"standby pool {pool.advertised} is not covered by any sk_lookup "
-            "redirect rule with a live socket: failing over to it would "
-            "blackhole exactly when the monitor fires",
+            f"{message}: failing over to it would blackhole exactly when the "
+            "monitor fires",
             where, "install redirect rules for the standby prefix on every "
                    "server (add_pool) before arming the monitor",
-        )]
+        ) for message in messages]
 
-    def _any_program_dispatches(self, ctx: CheckContext, prefix: Prefix) -> bool:
-        for program in ctx.programs:
-            for rule in program.rules:
-                if not (rule.is_redirect and rule.map_key in program.live_slots):
-                    continue
-                if ctx.service_ports and not any(
-                    rule.port_lo <= p <= rule.port_hi for p in ctx.service_ports
-                ):
-                    continue
-                if not rule.prefixes or any(p.overlaps(prefix) for p in rule.prefixes):
-                    return True
-        return False
-
-    # -- CP008: sampled end-to-end reachability ----------------------------------------------
+    # -- CP008: the live end-to-end probe -------------------------------------------------------
 
     def _check_end_to_end(self, ctx: CheckContext, policy: PolicyInfo) -> list[Finding]:
         probes = sample_pool_addresses(policy.pool, ctx.samples_per_pool)
-        if ctx.deployment is not None:
-            failures = self._probe_live(ctx, probes)
-        elif ctx.programs or ctx.announced:
-            failures = self._probe_static(ctx, probes)
-        else:
-            return []
+        failures = self._probe_live(ctx, probes)
         if not failures:
             return []
         addr, reason = failures[0]
@@ -252,95 +259,44 @@ class ControlPlaneChecker(Checker):
             "redirect rule, and terminate on a live socket",
         )]
 
-    def _probe_static(
-        self, ctx: CheckContext, probes: list[IPAddress]
-    ) -> list[tuple[IPAddress, str]]:
-        """Config mode: walk announcement coverage + program first-match."""
-        failures = []
-        for addr in probes:
-            if ctx.announced and not any(addr in p for p in ctx.announced):
-                failures.append((addr, "no announced prefix covers it"))
-                continue
-            if ctx.programs:
-                verdict = self._static_dispatch(ctx, addr)
-                if verdict is not None:
-                    failures.append((addr, verdict))
-        return failures
-
-    def _static_dispatch(self, ctx: CheckContext, addr: IPAddress) -> str | None:
-        """First-match walk of every program for (addr, each service port).
-
-        Returns a failure description, or ``None`` when every service port
-        dispatches somewhere.
-        """
-        for port in ctx.service_ports or (443,):
-            outcome = "miss"
-            for program in ctx.programs:
-                outcome = self._program_outcome(program, addr, port)
-                if outcome != "miss":
-                    break
-            if outcome == "drop":
-                return f"a DROP rule swallows port {port}"
-            if outcome == "miss":
-                return f"no program dispatches port {port}"
-        return None
-
-    @staticmethod
-    def _program_outcome(program: ProgramView, addr: IPAddress, port: int) -> str:
-        for rule in program.rules:
-            if rule.protocol is not None and rule.protocol.wire_protocol is not Protocol.TCP:
-                continue
-            if not rule.port_lo <= port <= rule.port_hi:
-                continue
-            if rule.prefixes and not any(addr in p for p in rule.prefixes):
-                continue
-            if rule.action is Verdict.DROP:
-                return "drop"
-            if rule.is_redirect:
-                if rule.map_key in program.live_slots:
-                    return "redirect"
-                continue  # empty slot falls through to the next rule
-            return "pass"  # explicit pass-through: normal lookup proceeds
-        return "miss"
-
     def _probe_live(
         self, ctx: CheckContext, probes: list[IPAddress]
     ) -> list[tuple[IPAddress, str]]:
-        """Deployment mode: real catchment + real socket dispatch, no DNS.
+        """Real catchment + real socket dispatch, no DNS.
 
         Probes the data path the way a minted answer would be used: pick a
-        vantage per region, route via BGP catchments, then run the SYN
-        through a server's lookup path at the caught PoP.
+        vantage per region, route via BGP catchments, then run a SYN for
+        every service port through a server's lookup path at the caught PoP.
         """
-        dep = ctx.deployment
-        network = dep.cdn.network
+        network = ctx.deployment.cdn.network
         vantages = _one_vantage_per_region(network)
-        src = IPAddress.from_text("100.64.0.9")
         failures = []
         for addr in probes:
-            reason = None
-            for vantage in vantages:
-                pop = network.pop_for(vantage, addr)
-                if pop is None:
-                    reason = f"AS {vantage} has no route (blackhole)"
-                    break
-                dc = dep.cdn.datacenters[pop]
-                server = next(
-                    (s for s in dc.servers.values() if not s.crashed), None
-                )
-                if server is None:
-                    reason = f"PoP {pop} has no healthy server"
-                    break
-                port = (ctx.service_ports or (443,))[0]
-                packet = Packet(FiveTuple(Protocol.TCP, src, 40_001, addr, port), syn=True)
-                result = server.dispatch(packet, deliver=False)
-                if result.socket is None:
-                    reason = (f"PoP {pop} lookup path returns no socket "
-                              f"(stage={result.stage.value}) for port {port}")
-                    break
+            reason = self._probe_address(ctx, vantages, addr)
             if reason is not None:
                 failures.append((addr, reason))
         return failures
+
+    @staticmethod
+    def _probe_address(ctx: CheckContext, vantages: list, addr: IPAddress) -> str | None:
+        cdn = ctx.deployment.cdn
+        src = IPAddress.from_text("100.64.0.9")
+        for vantage in vantages:
+            pop = cdn.network.pop_for(vantage, addr)
+            if pop is None:
+                return f"AS {vantage} has no route (blackhole)"
+            server = next(
+                (s for s in cdn.datacenters[pop].servers.values() if not s.crashed), None
+            )
+            if server is None:
+                return f"PoP {pop} has no healthy server"
+            for port in ctx.service_ports or (443,):
+                packet = Packet(FiveTuple(Protocol.TCP, src, 40_001, addr, port), syn=True)
+                result = server.dispatch(packet, deliver=False)
+                if result.socket is None:
+                    return (f"PoP {pop} lookup path returns no socket "
+                            f"(stage={result.stage.value}) for port {port}")
+        return None
 
 
 def _one_vantage_per_region(network) -> list[object]:

@@ -3,9 +3,10 @@
 Modelled on the role the kernel BPF verifier plays for sk_lookup programs
 (§3.3): a checker examines a *description* of the system — never the live
 traffic — and either blesses it or explains precisely what is wrong and
-how to fix it.  All three passes (program verifier, control-plane checker,
-determinism lint) emit :class:`Finding`s; callers decide whether errors
-abort (strict mode, like an attach-time ``-EINVAL``) or are logged.
+how to fix it.  Every pass (program verifier, control-plane checker,
+symbolic verifier, determinism lint) emits :class:`Finding`s; callers
+decide whether errors abort (strict mode, like an attach-time
+``-EINVAL``) or are logged.
 """
 
 from __future__ import annotations
@@ -157,11 +158,12 @@ class CheckContext:
     #: Optional MetricsRegistry; passes record region counts / durations here.
     registry: object | None = None
 
-    def covered_by_announced(self, prefix: Prefix) -> bool:
-        return any(a.contains(prefix) for a in self.announced)
-
-    def covered_by_listening(self, prefix: Prefix) -> bool:
-        return any(p.contains(prefix) for p in self.listening)
+    def paths(self) -> dict[str, list[ProgramView]]:
+        """Programs grouped by lookup path, each group in attach order."""
+        by_path: dict[str, list[ProgramView]] = {}
+        for program in self.programs:
+            by_path.setdefault(program.path, []).append(program)
+        return by_path
 
 
 class Checker:
@@ -221,13 +223,15 @@ class Report:
 
 
 def run_checkers(ctx: CheckContext, checkers: list[Checker] | None = None) -> Report:
-    """Run a set of checkers (default: all three passes) over ``ctx``."""
+    """Run a set of checkers over ``ctx`` (default: the program, control-plane
+    and symbolic passes, plus the determinism lint when ``ctx`` names paths)."""
     if checkers is None:
         from .controlplane import ControlPlaneChecker
         from .determinism import DeterminismChecker
         from .program import ProgramChecker
+        from .symbolic import SymbolicChecker
 
-        checkers = [ProgramChecker(), ControlPlaneChecker()]
+        checkers = [ProgramChecker(), ControlPlaneChecker(), SymbolicChecker()]
         if ctx.lint_paths:
             checkers.append(DeterminismChecker())
     report = Report(checkers_run=len(checkers))

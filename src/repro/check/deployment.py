@@ -15,7 +15,6 @@ import dataclasses
 
 from ..core.pool import AddressPool
 from ..netsim.addr import Prefix
-from .controlplane import ControlPlaneChecker
 from .core import CheckContext, PolicyInfo, ProgramView, Report, run_checkers
 
 __all__ = [
@@ -34,12 +33,11 @@ def context_from_cdn(
 ) -> CheckContext:
     """Extract checker state from a CDN and a policy engine.
 
-    ``deployment`` (optional) enables the live end-to-end dispatch probe;
-    without it the reachability check walks announcements + program rules
-    statically.
+    ``deployment`` (optional) enables CP008's live end-to-end probe on real
+    catchments and sockets.  Without ``service_ports``, the ports the edge
+    sockets are bound to (``(80, 443)`` if none are).
     """
     policies = [PolicyInfo.from_policy(p) for p in engine.policies()] if engine else []
-    announced = list(cdn.network.announced_prefixes())
     listening: list[Prefix] = []
     programs: list[ProgramView] = []
     ports: set[int] = set(service_ports or ())
@@ -50,7 +48,7 @@ def context_from_cdn(
                     listening.append(pool)
             for program in server.lookup_path.programs():
                 programs.append(ProgramView.from_program(program, path=server.name))
-            if service_ports is None:
+            if not service_ports:
                 ports.update(
                     sock.local_port for sock in server.table.sockets()
                     if sock.local_port is not None
@@ -58,7 +56,7 @@ def context_from_cdn(
     return CheckContext(
         policies=policies,
         standby_pools=list(standby_pools or []),
-        announced=announced,
+        announced=list(cdn.network.announced_prefixes()),
         listening=listening,
         programs=programs,
         service_ports=tuple(sorted(ports)) or (80, 443),
@@ -86,18 +84,17 @@ def precheck_rebind(
     standby_pools: list[AddressPool] | None = None,
     service_ports: tuple[int, ...] | None = None,
     deployment=None,
-    symbolic: bool = False,
 ) -> Report:
     """Verify the control plane *as it would be* after a rebind.
 
     Substitutes ``new_pool`` for ``policy_name``'s pool in the extracted
-    state and runs the control-plane checker — plus, with ``symbolic``,
-    the exact packet-space pass (:class:`~repro.check.symbolic
-    .SymbolicChecker`), which upgrades the sampled reachability check to
-    a proof over the hypothetical state.  The live engine is never
-    touched; an error finding means the maneuver would mint unroutable,
-    unterminated, or undispatched addresses — reject it like a bad BPF
-    program instead of blackholing at TTL timescales.
+    state and runs the default passes over the hypothetical state.  The
+    live engine is never touched; an error finding means the maneuver
+    would mint unroutable, unterminated, dropped, or undispatched
+    addresses — reject it like a bad BPF program instead of blackholing
+    at TTL timescales.  The program verifier is one of those passes (its
+    SK006 names a DROP over the new pool), so a program-level error
+    already in the state also fails the precheck.
     """
     ctx = context_from_cdn(
         cdn, engine,
@@ -112,9 +109,4 @@ def precheck_rebind(
             replaced = True
     if not replaced:
         raise KeyError(f"no policy named {policy_name!r} to precheck")
-    checkers: list = [ControlPlaneChecker()]
-    if symbolic:
-        from .symbolic import SymbolicChecker
-
-        checkers.append(SymbolicChecker())
-    return run_checkers(ctx, checkers)
+    return run_checkers(ctx)

@@ -35,7 +35,8 @@ from ..core.pool import AddressPool, PoolError
 from ..netsim.addr import Prefix, parse_prefix
 from ..sockets.socktable import SocketState
 from .core import CheckError, Finding, Report, Severity
-from .symbolic import PacketSpace, announced_space, mintable_space, program_verdicts, resolved_space
+from .deployment import context_from_cdn
+from .symbolic import PacketSpace, mintable_space, prefix_space, program_verdicts, resolved_space
 
 __all__ = ["PlanError", "RebindPlan", "PlanDiff", "verify_plan"]
 
@@ -188,19 +189,6 @@ def _candidate_pool(plan: RebindPlan, current_pool: AddressPool) -> AddressPool:
     raise ValueError(f"unknown plan kind {plan.kind!r} (expected one of {PLAN_KINDS})")
 
 
-def _service_ports(cdn, service_ports) -> tuple[int, ...]:
-    if service_ports:
-        return tuple(sorted(set(service_ports)))
-    ports: set[int] = set()
-    for dc in cdn.datacenters.values():
-        for server in dc.servers.values():
-            ports.update(
-                sock.local_port for sock in server.table.sockets()
-                if sock.local_port is not None
-            )
-    return tuple(sorted(ports)) or (80, 443)
-
-
 def _stranded_flows(cdn, release: tuple[Prefix, ...]) -> tuple[str, ...]:
     if not release:
         return ()
@@ -248,37 +236,26 @@ def verify_plan(
         raise KeyError(f"no policy named {plan.policy!r} to verify a plan for")
     candidate = _candidate_pool(plan, policy.pool)  # may raise PoolError
 
-    ports = _service_ports(cdn, service_ports)
-    before = mintable_space(policy.pool, ports)
-    after = mintable_space(candidate, ports)
+    ctx = context_from_cdn(cdn, engine, service_ports=service_ports)
+    before = mintable_space(policy.pool, ctx.service_ports)
+    after = mintable_space(candidate, ctx.service_ports)
 
     announced_after = [
-        prefix for prefix in cdn.network.announced_prefixes()
+        prefix for prefix in ctx.announced
         if not any(r.contains(prefix) for r in plan.release)
     ]
     findings: list[Finding] = []
 
-    blackholed = after.subtract(announced_space(announced_after))
+    blackholed = after.subtract(prefix_space(announced_after))
     routable_after = after.subtract(blackholed)
-    programs = [
-        program
-        for dc in cdn.datacenters.values()
-        for server in dc.servers.values()
-        for program in server.lookup_path.programs()
-    ]
-    if programs:
-        # Lenient union across every edge program (mirrors CP008's static
-        # dispatch stance): the plan is safe if *some* server disposes of
-        # the packet — per-server coverage is SK100's stricter job.
+    if ctx.programs:
+        # Lenient union across every edge program: the plan is safe if
+        # *some* server disposes of the packet — per-server coverage is
+        # SK100's stricter job.
         dispatched = PacketSpace.empty()
-        for program in programs:
-            live = {
-                key for key in range(program.map.size)
-                if program.map.lookup(key) is not None
-            }
-            dispatched = dispatched.union(
-                resolved_space(program_verdicts(program.rules(), live, routable_after))
-            )
+        for view in ctx.programs:
+            dispatched = dispatched.union(resolved_space(
+                program_verdicts(view.rules, view.live_slots, routable_after)))
         blackholed = blackholed.union(routable_after.subtract(dispatched))
     if not blackholed.is_empty():
         findings.append(Finding(

@@ -10,82 +10,30 @@ rules that silently blackhole addresses the policy control plane can still
 mint (the fCDN failure mode: misdirected dispatch drops traffic with no
 error anywhere).
 
-Every check is decided from the rule set alone — no packets needed —
-because a :class:`~repro.sockets.sklookup.MatchRule`'s match space is a
-product of finite boxes: protocol × port interval × prefix set.
+Every check is decided from the rule set alone — no packets needed — with
+the packet-space algebra of :mod:`repro.check.symbolic`: a rule's match
+space is exact set arithmetic over (prefix × protocol × port-interval)
+rectangles, and first-match order is a walk that subtracts what each
+earlier rule takes.
 """
 
 from __future__ import annotations
 
-from ..netsim.addr import Prefix
 from ..sockets.sklookup import MatchRule, Verdict
 from .core import Checker, CheckContext, Finding, ProgramView, Severity
+from .symbolic import PacketSpace, first_match, is_terminal, mintable_space, rule_space
 
 __all__ = ["ProgramChecker", "rule_covers", "rules_overlap"]
 
 
-def _proto_covers(earlier: MatchRule, later: MatchRule) -> bool:
-    if earlier.protocol is None:
-        return True
-    if later.protocol is None:
-        return False
-    return earlier.protocol.wire_protocol is later.protocol.wire_protocol
-
-
-def _proto_overlap(a: MatchRule, b: MatchRule) -> bool:
-    if a.protocol is None or b.protocol is None:
-        return True
-    return a.protocol.wire_protocol is b.protocol.wire_protocol
-
-
-def _ports_cover(earlier: MatchRule, later: MatchRule) -> bool:
-    return earlier.port_lo <= later.port_lo and later.port_hi <= earlier.port_hi
-
-
-def _ports_overlap(a: MatchRule, b: MatchRule) -> bool:
-    return a.port_lo <= b.port_hi and b.port_lo <= a.port_hi
-
-
-def _prefixes_cover(earlier: MatchRule, later: MatchRule) -> bool:
-    if not earlier.prefixes:
-        return True  # match-any address
-    if not later.prefixes:
-        return False  # later matches everything; a constrained rule cannot cover it
-    return all(any(ep.contains(lp) for ep in earlier.prefixes) for lp in later.prefixes)
-
-
-def _prefixes_overlap(a: MatchRule, b: MatchRule) -> bool:
-    if not a.prefixes or not b.prefixes:
-        return True
-    return any(ap.overlaps(bp) for ap in a.prefixes for bp in b.prefixes)
-
-
 def rule_covers(earlier: MatchRule, later: MatchRule) -> bool:
     """Is ``later``'s entire match space inside ``earlier``'s?"""
-    return (
-        _proto_covers(earlier, later)
-        and _ports_cover(earlier, later)
-        and _prefixes_cover(earlier, later)
-    )
+    return rule_space(earlier).covers(rule_space(later))
 
 
 def rules_overlap(a: MatchRule, b: MatchRule) -> bool:
     """Do the two match spaces share at least one packet?"""
-    return _proto_overlap(a, b) and _ports_overlap(a, b) and _prefixes_overlap(a, b)
-
-
-def _is_terminal(rule: MatchRule, live_slots: frozenset[int]) -> bool:
-    """Does a match on ``rule`` always end evaluation?
-
-    DROP and plain PASS rules are terminal; a redirect is terminal only
-    while its slot holds a live socket (an empty/stale slot falls through
-    at dispatch, exactly like ``bpf_sk_assign`` failing on NULL).
-    """
-    if rule.action is Verdict.DROP:
-        return True
-    if rule.is_redirect:
-        return rule.map_key in live_slots
-    return True  # explicit pass-through
+    return not rule_space(a).intersect(rule_space(b)).is_empty()
 
 
 def _where(program: ProgramView, index: int, rule: MatchRule) -> str:
@@ -100,11 +48,15 @@ class ProgramChecker(Checker):
 
     def run(self, ctx: CheckContext) -> list[Finding]:
         findings: list[Finding] = []
+        mintable = [(policy, mintable_space(policy.pool, ctx.service_ports))
+                    for policy in ctx.policies]
+        universe = PacketSpace.universe()
         for program in ctx.programs:
+            reach, _ = first_match(program.rules, program.live_slots, universe)
             findings.extend(self._check_sanity(program))
-            findings.extend(self._check_shadowing(program))
+            findings.extend(self._check_shadowing(program, reach))
             findings.extend(self._check_slots(program))
-            findings.extend(self._check_drops_vs_policies(program, ctx))
+            findings.extend(self._check_drops_vs_policies(program, reach, mintable))
         findings.extend(self._check_cross_program(ctx))
         return findings
 
@@ -143,28 +95,36 @@ class ProgramChecker(Checker):
 
     # -- SK002: shadowed / unreachable rules ------------------------------------
 
-    def _check_shadowing(self, program: ProgramView) -> list[Finding]:
+    def _check_shadowing(
+        self, program: ProgramView, reach: list[PacketSpace]
+    ) -> list[Finding]:
         findings = []
-        for j, later in enumerate(program.rules):
-            for i in range(j):
-                earlier = program.rules[i]
-                if not _is_terminal(earlier, program.live_slots):
-                    continue
-                if rule_covers(earlier, later):
-                    note = ""
-                    if earlier.is_redirect:
-                        note = (f" (while slot {earlier.map_key} stays populated;"
-                                " an emptied slot would un-shadow it)")
-                    findings.append(Finding(
-                        "SK002", "shadowed-rule", Severity.ERROR,
-                        f"never matches: fully shadowed by rule {i}"
-                        f" [{earlier.action.value}"
-                        + (f" -> slot {earlier.map_key}" if earlier.is_redirect else "")
-                        + f"]{note}",
-                        _where(program, j, later),
-                        "remove the dead rule, or reorder/narrow the earlier one",
-                    ))
-                    break  # one shadowing witness per rule is enough
+        rules = program.rules
+        terminal = [is_terminal(rule, program.live_slots) for rule in rules]
+        for j, later in enumerate(rules):
+            space = rule_space(later)
+            if reach[j].rects or space.is_empty():
+                continue  # reachable, or matches nothing at all (SK001's job)
+            i = next((i for i in range(j) if terminal[i] and rule_covers(rules[i], later)),
+                     None)
+            if i is None:
+                takers = [str(i) for i in range(j)
+                          if terminal[i] and not reach[i].intersect(space).is_empty()]
+                why = f"earlier rules {', '.join(takers)} jointly take every packet it matches"
+            else:
+                earlier = rules[i]
+                why = (f"fully shadowed by rule {i} [{earlier.action.value}"
+                       + (f" -> slot {earlier.map_key}" if earlier.is_redirect else "")
+                       + "]")
+                if earlier.is_redirect:
+                    why += (f" (while slot {earlier.map_key} stays populated;"
+                            " an emptied slot would un-shadow it)")
+            findings.append(Finding(
+                "SK002", "shadowed-rule", Severity.ERROR,
+                f"never matches: {why}",
+                _where(program, j, later),
+                "remove the dead rule, or reorder/narrow the earlier one",
+            ))
         return findings
 
     # -- SK004/SK005: map-slot hygiene -------------------------------------------
@@ -195,18 +155,15 @@ class ProgramChecker(Checker):
 
     # -- SK006: DROP rules vs. mintable addresses ---------------------------------
 
-    def _check_drops_vs_policies(self, program: ProgramView, ctx: CheckContext) -> list[Finding]:
+    def _check_drops_vs_policies(
+        self, program: ProgramView, reach: list[PacketSpace], mintable: list
+    ) -> list[Finding]:
         findings = []
-        service_ports = ctx.service_ports
         for i, rule in enumerate(program.rules):
-            if rule.action is not Verdict.DROP:
+            if rule.action is not Verdict.DROP or not reach[i].rects:
                 continue
-            if service_ports and not any(
-                rule.port_lo <= port <= rule.port_hi for port in service_ports
-            ):
-                continue  # drop outside the service ports cannot eat minted traffic
-            for policy in ctx.policies:
-                if self._drop_hits_pool(rule, policy.pool):
+            for policy, space in mintable:
+                if not reach[i].intersect(space).is_empty():
                     findings.append(Finding(
                         "SK006", "drop-shadows-pool", Severity.ERROR,
                         f"DROP rule swallows addresses policy {policy.name!r} can "
@@ -218,28 +175,11 @@ class ProgramChecker(Checker):
                     ))
         return findings
 
-    @staticmethod
-    def _drop_hits_pool(rule: MatchRule, pool) -> bool:
-        """Can the policy's *active* set mint an address the DROP matches?"""
-        active: Prefix | None = pool.active_prefix
-        if active is not None:
-            if not rule.prefixes:
-                return True
-            return any(p.overlaps(active) for p in rule.prefixes)
-        # Explicit address list: test each minted address directly.
-        addresses = pool.active_addresses() or ()
-        if not rule.prefixes:
-            return bool(addresses)
-        return any(addr in p for addr in addresses for p in rule.prefixes)
-
     # -- SK003: conflicting redirects across programs on one path -----------------
 
     def _check_cross_program(self, ctx: CheckContext) -> list[Finding]:
         findings = []
-        by_path: dict[str, list[ProgramView]] = {}
-        for program in ctx.programs:
-            by_path.setdefault(program.path, []).append(program)
-        for path, programs in by_path.items():
+        for path, programs in ctx.paths().items():
             if len(programs) < 2:
                 continue
             for a_idx, first in enumerate(programs):

@@ -1,22 +1,22 @@
 """Pass 4: the symbolic packet-space verifier — proofs, not samples.
 
-CP008 samples a handful of mintable addresses and probes them end-to-end;
-a rebind that blackholes a /28 *between* the samples ships silently.  This
-module closes that gap with a header-space-style exact set algebra over
-``(dst-prefix × wire-protocol × port-interval)`` rectangles: every
-checkable claim becomes set arithmetic over :class:`PacketSpace` values,
-and every failed claim carries a *witness* — a concrete packet inside the
-offending region that replays the failure on the real engines.
-
-Two checker passes ride on the algebra (plan verification — SK102/SK103 —
-lives in :mod:`repro.check.plan`):
+A header-space-style exact set algebra over ``(dst-prefix ×
+wire-protocol × port-interval)`` rectangles: every checkable claim about
+rules or prefixes becomes set arithmetic over :class:`PacketSpace`
+values, and every failed claim carries a *witness* — a concrete packet
+inside the offending region that replays the failure on the real engines.
+It is the only model of rule and prefix space in :mod:`repro.check`: the
+program pass (SK002/SK003/SK006), the control-plane pass (CP001–CP004)
+and plan verification (SK102/SK103, :mod:`repro.check.plan`) all decide
+through it.  This module adds two passes of its own:
 
 * ``SK100 unproven-reachability`` — compute the full mintable space from
-  the policy layer and prove every point either resolves through routing
-  and sk_lookup to a live socket (or an explicit DROP / pass-through to
-  the normal listener lookup), or report the exact uncovered rectangles.
-  This *proves* what CP008 samples; CP008 stays on as a cross-check that
-  the model matches the live data path.
+  the policy layer and prove every point is announced (the routing half,
+  whenever announcements are known) and resolves through each lookup
+  path's sk_lookup programs to a live socket, an explicit DROP (which
+  SK006 judges), or a pass-through to the normal listener lookup — or
+  report the exact uncovered rectangles.  CP008's live probe replays
+  samples of the same claim on real catchments and real sockets.
 * ``SK101 engine-divergence`` — symbolically prove the compiled dispatch
   index (:class:`~repro.sockets.compiled.CompiledProgram`) equivalent to
   the rule-list interpreter for every attached program, and across attach
@@ -46,8 +46,12 @@ __all__ = [
     "Divergence",
     "SymbolicChecker",
     "mintable_space",
-    "announced_space",
+    "prefix_space",
+    "rule_space",
+    "is_terminal",
+    "first_match",
     "program_verdicts",
+    "view_verdicts",
     "compiled_verdicts",
     "path_verdicts",
     "resolved_space",
@@ -394,12 +398,13 @@ def mintable_space(pool, service_ports: Iterable[int]) -> PacketSpace:
     return PacketSpace.for_prefix(prefix, WIRE_PROTOCOLS, ports)
 
 
-def announced_space(announced: Iterable[Prefix]) -> PacketSpace:
-    """The routable space: announced prefixes, any port, any protocol."""
-    out = PacketSpace.empty()
-    for prefix in announced:
-        out = out.union(PacketSpace.for_prefix(prefix))
-    return out
+def prefix_space(prefixes: Iterable[Prefix]) -> PacketSpace:
+    """Every packet to the given prefixes: any port, either wire protocol."""
+    return PacketSpace(
+        Rect(p.family, p.network, p.length, proto, PORT_MIN, PORT_MAX)
+        for p in prefixes
+        for proto in WIRE_PROTOCOLS
+    )
 
 
 # -- symbolic program evaluation --------------------------------------------
@@ -408,21 +413,49 @@ def announced_space(announced: Iterable[Prefix]) -> PacketSpace:
 VerdictSpaces = dict
 
 
-def _rule_space(rule: MatchRule) -> PacketSpace:
+def rule_space(rule: MatchRule) -> PacketSpace:
+    """Every packet ``rule`` matches; empty prefixes match any address."""
+    if rule.port_lo > rule.port_hi:
+        return PacketSpace.empty()
     protos = WIRE_PROTOCOLS if rule._wire_protocol is None else (rule._wire_protocol.value,)
-    ports = ((rule.port_lo, rule.port_hi),)
-    if not rule.prefixes:
-        return PacketSpace(
-            Rect(family, 0, 0, proto, rule.port_lo, rule.port_hi)
-            for family in (IPv4, IPv6)
-            for proto in protos
-        )
+    nets = [(p.family, p.network, p.length) for p in rule.prefixes] or [(IPv4, 0, 0), (IPv6, 0, 0)]
     return PacketSpace(
-        Rect(p.family, p.network, p.length, proto, lo, hi)
-        for p in rule.prefixes
+        Rect(family, network, length, proto, rule.port_lo, rule.port_hi)
+        for family, network, length in nets
         for proto in protos
-        for lo, hi in ports
     )
+
+
+def is_terminal(rule: MatchRule, live_slots: frozenset[int] | set[int]) -> bool:
+    """Does a match on ``rule`` always end evaluation?
+
+    DROP and plain PASS rules are terminal; a redirect is terminal only
+    while its slot holds a live socket (an empty/stale slot falls through
+    at dispatch, exactly like ``bpf_sk_assign`` failing on NULL).
+    """
+    return not rule.is_redirect or rule.map_key in live_slots
+
+
+def first_match(
+    rules: Iterable[MatchRule],
+    live_slots: frozenset[int] | set[int],
+    domain: PacketSpace,
+) -> tuple[list[PacketSpace], PacketSpace]:
+    """The part of ``domain`` each rule actually matches under first-match
+    order, and the part no rule takes.
+
+    A redirect through an empty/stale slot consumes nothing (the kernel
+    fall-through): its matched space flows on to the next rule exactly as
+    :meth:`SkLookupProgram.run` would send the packet there.
+    """
+    reach: list[PacketSpace] = []
+    remaining = domain
+    for rule in rules:
+        matched = remaining.intersect(rule_space(rule)) if remaining.rects else remaining
+        reach.append(matched)
+        if matched.rects and is_terminal(rule, live_slots):
+            remaining = remaining.subtract(matched)
+    return reach, remaining
 
 
 def _merge(out: VerdictSpaces, key, space: PacketSpace) -> None:
@@ -444,32 +477,18 @@ def program_verdicts(
     live_slots: frozenset[int] | set[int],
     domain: PacketSpace,
 ) -> VerdictSpaces:
-    """The interpreter's verdict partition of ``domain``, symbolically.
-
-    First match wins; a redirect through an empty/stale slot consumes
-    nothing (the kernel fall-through), so its matched space flows on to
-    the next rule exactly as :meth:`SkLookupProgram.run` would send the
-    packet there.
-    """
+    """The interpreter's verdict partition of ``domain``, symbolically."""
+    rules = tuple(rules)
+    reach, miss = first_match(rules, live_slots, domain)
     out: VerdictSpaces = {}
-    remaining = domain
-    for rule in rules:
-        if remaining.is_empty():
-            break
-        matched = remaining.intersect(_rule_space(rule))
-        if matched.is_empty():
-            continue
+    for rule, matched in zip(rules, reach):
         if rule.action is Verdict.DROP:
             _merge(out, "drop", matched)
-        elif rule.is_redirect:
-            if rule.map_key in live_slots:
-                _merge(out, ("redirect", rule.map_key), matched)
-            else:
-                continue  # dead slot: fall through, space not consumed
-        else:
+        elif not rule.is_redirect:
             _merge(out, "pass", matched)
-        remaining = remaining.subtract(matched)
-    _merge(out, "miss", remaining)
+        elif rule.map_key in live_slots:
+            _merge(out, ("redirect", rule.map_key), matched)
+    _merge(out, "miss", miss)
     return out
 
 
@@ -583,10 +602,19 @@ def path_verdicts(stage_fns, domain: PacketSpace) -> VerdictSpaces:
     return out
 
 
+def view_verdicts(views: Iterable[ProgramView], domain: PacketSpace) -> VerdictSpaces:
+    """The verdict partition of ``domain`` along one lookup path, given its
+    program views in attach order."""
+    return path_verdicts(
+        [lambda d, v=view: program_verdicts(v.rules, v.live_slots, d) for view in views],
+        domain,
+    )
+
+
 def resolved_space(verdicts: VerdictSpaces) -> PacketSpace:
     """The subset of a verdict partition that *resolves*: an explicit DROP,
     a redirect to a live socket, or an explicit pass-through (which defers
-    to the normal listener lookup — the same stance CP008 takes)."""
+    to the normal listener lookup)."""
     rects: list[Rect] = []
     for key, space in verdicts.items():
         if key == "miss":
@@ -656,11 +684,9 @@ def equivalence_counterexample(
     domain = domain if domain is not None else PacketSpace.universe()
     if description is None:
         description = program.compiled().describe()
-    live = {
-        key for key in range(program.map.size) if program.map.lookup(key) is not None
-    }
-    interp = program_verdicts(program.rules(), live, domain)
-    comp = compiled_verdicts(description, live, domain)
+    view = ProgramView.from_program(program)
+    interp = program_verdicts(view.rules, view.live_slots, domain)
+    comp = compiled_verdicts(description, view.live_slots, domain)
     for key in sorted(interp, key=_verdict_name):
         diff = interp[key].subtract(comp.get(key, PacketSpace.empty()))
         if diff.is_empty():
@@ -703,7 +729,7 @@ class SymbolicChecker(Checker):
     # -- SK100 ---------------------------------------------------------------
 
     def _check_reachability(self, ctx: CheckContext) -> list[Finding]:
-        if not ctx.policies or not ctx.programs:
+        if not ctx.policies:
             return []
         findings: list[Finding] = []
         mintable = PacketSpace.empty()
@@ -711,7 +737,7 @@ class SymbolicChecker(Checker):
             mintable = mintable.union(mintable_space(policy.pool, ctx.service_ports))
         routable = mintable
         if ctx.announced:
-            routed = announced_space(ctx.announced)
+            routed = prefix_space(ctx.announced)
             unrouted = mintable.subtract(routed)
             routable = mintable.intersect(routed)
             if not unrouted.is_empty():
@@ -720,23 +746,12 @@ class SymbolicChecker(Checker):
                     f"{len(unrouted)} mintable region(s) outside every announced "
                     f"prefix: {unrouted.render(limit=4)}",
                     "routing",
-                    "announce covering prefixes or shrink the active sets; this is "
-                    "the exact region CP001/CP008 can only sample",
+                    "announce covering prefixes or shrink the active sets",
                 ))
-        paths: dict[str, list[ProgramView]] = {}
-        for view in ctx.programs:
-            paths.setdefault(view.path, []).append(view)
-        for path in sorted(paths):
-            views = paths[path]
-            verdicts = path_verdicts(
-                [
-                    lambda d, v=view: program_verdicts(v.rules, v.live_slots, d)
-                    for view in views
-                ],
-                routable,
-            )
-            uncovered = routable.subtract(resolved_space(verdicts))
-            if uncovered.is_empty():
+        for path, views in sorted(ctx.paths().items()):
+            verdicts = view_verdicts(views, routable)
+            uncovered = verdicts.get("miss")
+            if uncovered is None:
                 continue
             findings.append(Finding(
                 "SK100", "unproven-reachability", Severity.ERROR,
@@ -744,7 +759,7 @@ class SymbolicChecker(Checker):
                 f"no explicit DROP via this path: {uncovered.render(limit=4)}",
                 f"path:{path}",
                 "add redirect rules (or explicit DROPs) covering the exact "
-                "rectangles above — the sampled CP008 probe can miss them",
+                "rectangles above",
             ))
         self._record_regions(ctx, mintable, findings)
         return findings
@@ -788,18 +803,12 @@ class SymbolicChecker(Checker):
 
     def _check_path_equivalence(self, server_name, programs, domain) -> list[Finding]:
         """Attach-order composition: interpreter chain vs compiled chain."""
-        def interp_stage(program):
-            live = {k for k in range(program.map.size)
-                    if program.map.lookup(k) is not None}
-            return lambda d: program_verdicts(program.rules(), live, d)
-
         def compiled_stage(program):
-            live = {k for k in range(program.map.size)
-                    if program.map.lookup(k) is not None}
+            live = ProgramView.from_program(program).live_slots
             description = program.compiled().describe()
             return lambda d: compiled_verdicts(description, live, d)
 
-        interp = path_verdicts([interp_stage(p) for p in programs], domain)
+        interp = view_verdicts(map(ProgramView.from_program, programs), domain)
         comp = path_verdicts([compiled_stage(p) for p in programs], domain)
         for key in sorted(set(interp) | set(comp), key=_verdict_name):
             diff = interp.get(key, PacketSpace.empty()).subtract(

@@ -18,7 +18,7 @@
     python -m repro chaos --minimize tests/fixtures/chaos_bad_campaign.json
     python -m repro bgp --seed 7 [--json]
     python -m repro scaling
-    python -m repro check [config.json] [--strict] [--symbolic] [--only NAME]
+    python -m repro check [config.json] [--strict] [--only NAME]
     python -m repro plan plan.json
     python -m repro metrics [--experiment ttl|failover] [--format json|prom]
     python -m repro metrics --diff before.json after.json
@@ -405,7 +405,6 @@ def _cmd_check(args) -> str:
             strict=args.strict,
             no_deployment=args.no_deployment,
             only=args.only,
-            symbolic=args.symbolic,
         )
     except UnknownCheckerError as exc:
         raise _CommandFailed(f"check: {exc}", 2)
@@ -585,8 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(lint-only run)")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero on warnings too")
-    p.add_argument("--symbolic", action="store_true",
-                   help="add the exact packet-space passes (SK100/SK101)")
     p.add_argument("--only", action="append", default=None, metavar="NAME",
                    help="run only the named checker(s); unknown names exit 2")
 

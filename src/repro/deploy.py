@@ -229,7 +229,6 @@ class Deployment:
             ],
             service_ports=tuple(self.config.ports),
             deployment=self,
-            symbolic=True,
         )
         if report.ok:
             return

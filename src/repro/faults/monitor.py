@@ -408,7 +408,7 @@ class HealthMonitor:
 
         The §6 mitigation only restores service when the standby prefix is
         already announced and already dispatched by the edge — exactly what
-        the control-plane checker proves.  A failing precheck means the
+        the default check passes prove.  A failing precheck means the
         swap would trade a blackhole for another blackhole.
         """
         from ..check.core import CheckError

@@ -10,6 +10,7 @@ from repro.cli import main
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 BROKEN = os.path.join(FIXTURES, "broken_check.json")
 GOLDEN = os.path.join(FIXTURES, "broken_check.golden")
+STANDBY_DROP = os.path.join(FIXTURES, "standby_drop_check.json")
 
 
 class TestBrokenFixture:
@@ -30,6 +31,16 @@ class TestBrokenFixture:
 
     def test_runs_are_deterministic(self):
         assert run_check(config=BROKEN) == run_check(config=BROKEN)
+
+
+class TestStandbyDropFixture:
+    def test_drop_ahead_of_the_standby_redirect_fails(self):
+        # A DROP takes half the standby pool ahead of its live redirect; a
+        # failover would blackhole that half.
+        output, code = run_check(config=STANDBY_DROP)
+        assert code == 1
+        assert "CP004 [standby-undispatched] standby:standby" in output
+        assert "203.0.113.0/25 tcp 80" in output
 
 
 class TestExitCodes:
@@ -88,7 +99,7 @@ class TestShippedConfiguration:
         output, code = run_check()
         assert code == 0
         assert output.startswith("ok — no findings")
-        assert "3 checker(s)" in output
+        assert "4 checker(s)" in output  # program, controlplane, symbolic, determinism
 
 
 class TestMainEntry:
@@ -126,9 +137,9 @@ class TestOnlySelection:
         assert "unknown checker 'nosuch'" in out and "symbolic" in out
 
 
-class TestSymbolicFlag:
+class TestSymbolicByDefault:
     def test_symbolic_run_over_the_seed_deployment_is_clean(self):
-        output, code = run_check(symbolic=True, no_lint=True)
+        output, code = run_check(no_lint=True)
         assert code == 0
         assert output.startswith("ok — no findings")
         assert "3 checker(s)" in output  # program, controlplane, symbolic
@@ -136,3 +147,8 @@ class TestSymbolicFlag:
     def test_only_symbolic_runs_just_that_pass(self):
         output, code = run_check(only=["symbolic"], no_lint=True)
         assert code == 0 and "1 checker(s)" in output
+
+    def test_the_symbolic_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--symbolic"])
+        assert "--symbolic" in capsys.readouterr().err

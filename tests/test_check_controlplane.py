@@ -1,8 +1,9 @@
 """The control-plane checker pass (repro.check.controlplane), rule by rule."""
 
-from repro.check import CheckContext, PolicyInfo, ProgramView
+from repro.check import CheckContext, PolicyInfo, ProgramView, context_from_deployment, run_checkers
 from repro.check.controlplane import ControlPlaneChecker, sample_pool_addresses
 from repro.core.pool import AddressPool
+from repro.deploy import Deployment, DeploymentConfig
 from repro.netsim.addr import parse_address, parse_prefix
 from repro.netsim.packet import Protocol
 from repro.sockets.sklookup import MatchRule, Verdict
@@ -41,6 +42,11 @@ def run(context):
     return ControlPlaneChecker().run(context)
 
 
+def prove(context):
+    """Every default pass (no lint): the program, control-plane and symbolic ones."""
+    return run_checkers(context).findings
+
+
 def rules_of(findings):
     return sorted(f.rule for f in findings)
 
@@ -70,6 +76,14 @@ class TestCoverage:
     def test_unlistened_pool_cp002(self):
         findings = run(ctx(policies=[policy()], listening=[STANDBY], programs=[]))
         assert "CP002" in rules_of(findings)
+
+    def test_pool_split_across_two_announcements_is_covered(self):
+        # Coverage is against the union: two /25 halves route the whole /24.
+        halves = [parse_prefix("192.0.2.0/25"), parse_prefix("192.0.2.128/25")]
+        findings = run(ctx(policies=[policy()], announced=[*halves, STANDBY],
+                           listening=[*halves, STANDBY]))
+        assert "CP001" not in rules_of(findings)
+        assert "CP002" not in rules_of(findings)
 
     def test_no_announcements_known_means_no_coverage_claim(self):
         # An empty announcement table means "not modelled", not "nothing
@@ -174,22 +188,53 @@ class TestStandbyCP004:
         assert "CP004" in rules_of(findings)
 
     def test_dispatched_standby_is_fine(self):
-        findings = run(ctx(standby_pools=[pool(STANDBY, name="backup")]))
+        # The standby is dispatched on both wire protocols the edge terminates.
+        both = MatchRule(action=Verdict.PASS, protocol=None, prefixes=(STANDBY,), map_key=0)
+        findings = run(ctx(standby_pools=[pool(STANDBY, name="backup")],
+                           programs=[program([redirect((WEB,)), both])]))
         assert "CP004" not in rules_of(findings)
 
+    def test_tcp_only_standby_leaves_udp_undispatched(self):
+        findings = run(ctx(standby_pools=[pool(STANDBY, name="backup")]))
+        cp004 = [f for f in findings if f.rule == "CP004"]
+        assert len(cp004) == 1
+        assert "(203.0.113.0/24 udp 80, 203.0.113.0/24 udp 443)" in cp004[0].message
+
+    def test_drop_ahead_of_the_standby_redirect_is_named(self):
+        # A live redirect overlapping the standby used to be enough; the DROP
+        # in front of it takes half the pool, and CP004 names exactly that half.
+        scrub = MatchRule(action=Verdict.DROP, protocol=None,
+                          prefixes=(parse_prefix("203.0.113.0/25"),))
+        both = MatchRule(action=Verdict.PASS, protocol=None, prefixes=(STANDBY,), map_key=0)
+        findings = run(ctx(standby_pools=[pool(STANDBY, name="backup")],
+                           programs=[program([scrub, both])]))
+        cp004 = [f for f in findings if f.rule == "CP004"]
+        assert len(cp004) == 1
+        assert "path 'edge' (203.0.113.0/25 tcp 80, " in cp004[0].message
+        assert "203.0.113.128" not in cp004[0].message
+
     def test_redirect_with_empty_slot_does_not_count(self):
+        # Protocol-any, so the dead slot is the only reason the pool is left over.
+        dead = MatchRule(action=Verdict.PASS, protocol=None, prefixes=(STANDBY,), map_key=5)
         findings = run(ctx(
             standby_pools=[pool(STANDBY, name="backup")],
-            programs=[program([redirect((WEB,)), redirect((STANDBY,), key=5)])],
+            programs=[program([redirect((WEB,)), dead])],
         ))
-        assert "CP004" in rules_of(findings)
+        cp004 = [f for f in findings if f.rule == "CP004"]
+        assert len(cp004) == 1
+        assert cp004[0].message.startswith("standby pool 203.0.113.0/24 is not covered")
 
     def test_redirect_outside_service_ports_does_not_count(self):
+        # Protocol-any, so the port range 22..22 is the only reason the pool is left over.
+        ssh = MatchRule(action=Verdict.PASS, protocol=None, prefixes=(STANDBY,),
+                        port_lo=22, port_hi=22, map_key=0)
         findings = run(ctx(
             standby_pools=[pool(STANDBY, name="backup")],
-            programs=[program([redirect((WEB,)), redirect((STANDBY,), lo=22, hi=22)])],
+            programs=[program([redirect((WEB,)), ssh])],
         ))
-        assert "CP004" in rules_of(findings)
+        cp004 = [f for f in findings if f.rule == "CP004"]
+        assert len(cp004) == 1
+        assert cp004[0].message.startswith("standby pool 203.0.113.0/24 is not covered")
 
     def test_no_programs_means_dispatch_not_modelled(self):
         findings = run(ctx(standby_pools=[pool(STANDBY, name="backup")], programs=[]))
@@ -197,14 +242,18 @@ class TestStandbyCP004:
 
 
 class TestEndToEndCP008:
+    """End-to-end reachability.  In config mode SK100 and SK006 now prove
+    what CP008 used to sample; CP008 itself is the live probe only."""
+
     def test_unannounced_addresses_fail_statically(self):
-        findings = run(ctx(policies=[policy()], announced=[STANDBY], programs=[]))
-        cp008 = [f for f in findings if f.rule == "CP008"]
-        assert len(cp008) == 1
-        assert "no announced prefix covers it" in cp008[0].message
+        findings = prove(ctx(policies=[policy()], announced=[STANDBY], programs=[]))
+        assert "CP008" not in rules_of(findings)
+        sk100 = [f for f in findings if f.rule == "SK100"]
+        assert len(sk100) == 1 and sk100[0].location == "routing"
+        assert "outside every announced prefix: 192.0.2.0/24 tcp 80" in sk100[0].message
 
     def test_drop_rule_fails_the_probe(self):
-        findings = run(ctx(
+        findings = prove(ctx(
             policies=[policy()],
             programs=[program([
                 MatchRule(action=Verdict.DROP, protocol=Protocol.TCP,
@@ -212,30 +261,52 @@ class TestEndToEndCP008:
                 redirect((WEB,)),
             ])],
         ))
-        cp008 = [f for f in findings if f.rule == "CP008"]
-        assert len(cp008) == 1
-        assert "DROP rule swallows port 80" in cp008[0].message
+        sk006 = [f for f in findings if f.rule == "SK006"]
+        assert [f.location for f in sk006] == ["edge#rule0"]
+        assert "policy 'web'" in sk006[0].message
 
     def test_uncovered_port_fails_the_probe(self):
-        findings = run(ctx(
+        findings = prove(ctx(
             policies=[policy()],
             programs=[program([redirect((WEB,), lo=443, hi=443)])],
         ))
-        cp008 = [f for f in findings if f.rule == "CP008"]
-        assert len(cp008) == 1
-        assert "no program dispatches port 80" in cp008[0].message
+        sk100 = [f for f in findings if f.rule == "SK100"]
+        assert len(sk100) == 1 and sk100[0].location == "path:edge"
+        assert "192.0.2.0/24 tcp 80" in sk100[0].message
+        assert "192.0.2.0/24 tcp 443" not in sk100[0].message
 
     def test_empty_slot_falls_through_to_next_rule(self):
-        findings = run(ctx(
+        findings = prove(ctx(
             policies=[policy()],
             programs=[program([redirect((WEB,), key=5), redirect((WEB,), key=0)])],
         ))
-        assert "CP008" not in rules_of(findings)
+        # TCP falls through to the live slot; only UDP (no rule) is left over.
+        sk100 = [f for f in findings if f.rule == "SK100"]
+        assert len(sk100) == 1
+        assert sk100[0].message == (
+            "2 mintable region(s) reach no live socket and no explicit DROP via this path: "
+            "192.0.2.0/24 udp 80, 192.0.2.0/24 udp 443")
 
     def test_findings_aggregate_per_policy(self):
+        findings = prove(ctx(policies=[policy()], announced=[STANDBY], programs=[]))
+        sk100 = [f for f in findings if f.rule == "SK100"]
+        assert len(sk100) == 1 and sk100[0].message.startswith("4 mintable region(s)")
+
+    def test_config_mode_runs_no_probe(self):
         findings = run(ctx(policies=[policy()], announced=[STANDBY], programs=[]))
-        cp008 = [f for f in findings if f.rule == "CP008"]
-        assert len(cp008) == 1 and cp008[0].message.startswith("8/8")
+        assert "CP008" not in rules_of(findings)
+
+    def test_live_probe_checks_every_service_port(self):
+        dep = Deployment.build(DeploymentConfig(num_hostnames=40))
+        dc = dep.cdn.datacenters[sorted(dep.cdn.datacenters)[0]]
+        program = next(iter(dc.servers.values())).lookup_path.programs()[0]
+        rules = program.rules()
+        program.remove_rules(rules[0].label)
+        for rule in rules:
+            if rule.port_lo != 443:
+                program.add_rule(rule)
+        cp008 = [f for f in run(context_from_deployment(dep)) if f.rule == "CP008"]
+        assert cp008 and all("for port 443" in f.message for f in cp008)
 
 
 class TestSamplePoolAddresses:

@@ -11,10 +11,23 @@ from repro.core.agility import AgilityController
 from repro.deploy import Deployment, DeploymentConfig
 from repro.faults import HealthMonitor
 from repro.netsim import parse_prefix
+from repro.sockets.sklookup import MatchRule, Verdict
 
 from conftest import BACKUP_PREFIX, POOL_PREFIX, make_policy_cdn
 
 BOGUS = parse_prefix("198.18.0.0/24")  # never announced, never listening
+SCRUBBED = parse_prefix("203.0.113.0/25")  # half the standby pool
+
+
+def scrub_ahead(lookup_path):
+    """Put a DROP on half the standby pool in front of a server's rules."""
+    program = lookup_path.programs()[0]
+    rules = program.rules()
+    for label in {rule.label for rule in rules}:
+        program.remove_rules(label)
+    program.add_rule(MatchRule(action=Verdict.DROP, prefixes=(SCRUBBED,), label="scrub"))
+    for rule in rules:
+        program.add_rule(rule)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +77,19 @@ class TestDeploymentManoeuvres:
         # Refused before enacting: the policy still mints from the old pool.
         assert dep.engine.get(dep.config.policy_name).pool is dep.pool
 
+    def test_strict_mode_refuses_a_failover_into_a_drop(self):
+        # The precheck runs every default pass, so the program verifier's
+        # SK006 vetoes a standby that a DROP rule half swallows.
+        dep = Deployment.build(DeploymentConfig(num_hostnames=40,
+                                                strict_checks=True))
+        dc = dep.cdn.datacenters[sorted(dep.cdn.datacenters)[0]]
+        scrub_ahead(next(iter(dc.servers.values())).lookup_path)
+        with pytest.raises(CheckError) as exc_info:
+            dep.failover_to_backup()
+        sk006 = [f for f in exc_info.value.findings if f.rule == "SK006"]
+        assert len(sk006) == 1 and "pool 'backup'" in sk006[0].message
+        assert dep.engine.get(dep.config.policy_name).pool is dep.pool
+
     def test_default_mode_logs_and_proceeds(self, caplog):
         dep = Deployment.build(DeploymentConfig(num_hostnames=40))
         dep.backup_pool = AddressPool(BOGUS, name="bogus-backup")
@@ -106,6 +132,18 @@ class TestMonitorPrecheck:
         assert not monitor.failed_over
         event = monitor.timeline.first("precheck_failed")
         assert event is not None and event.phase == "check"
+
+    def test_strict_mode_refuses_a_program_level_error(self, clock):
+        # Routed, listened and dispatched, but a DROP takes half the standby:
+        # only the program verifier sees it, and it alone refuses the swap.
+        monitor = self._blackholed_monitor(
+            clock, AddressPool(BACKUP_PREFIX, name="backup"), strict=True)
+        dc = monitor.cdn.datacenters[sorted(monitor.cdn.datacenters)[0]]
+        scrub_ahead(next(iter(dc.servers.values())).lookup_path)
+        with pytest.raises(CheckError) as exc_info:
+            monitor.tick()
+        assert [f.rule for f in exc_info.value.findings] == ["SK006"]
+        assert not monitor.failed_over
 
     def test_default_mode_records_and_swaps_anyway(self, clock):
         # Availability over purity: an imperfect standby still beats a

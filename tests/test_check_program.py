@@ -113,6 +113,25 @@ class TestShadowingSK002:
         ], live=(0,)))
         assert "SK002" in rules_of(findings)
 
+    def test_one_rule_with_two_halves_shadows_the_whole(self):
+        # Neither /25 alone contains the /24, but the rule's union does.
+        findings = check(view([
+            rule(prefixes=("192.0.2.0/25", "192.0.2.128/25"), key=0, label="halves"),
+            rule(prefixes=("192.0.2.0/24",), lo=443, hi=443, key=0, label="dead"),
+        ], live=(0,)))
+        assert rules_of(findings) == ["SK002"]
+        assert "shadowed by rule 0" in findings[0].message
+
+    def test_jointly_shadowed_by_two_rules(self):
+        findings = check(view([
+            rule(prefixes=("192.0.2.0/25",), key=0),
+            rule(action=Verdict.DROP, prefixes=("192.0.2.128/25",)),
+            rule(prefixes=("192.0.2.0/24",), key=0, label="dead"),
+        ], live=(0,)))
+        sk002 = [f for f in findings if f.rule == "SK002"]
+        assert len(sk002) == 1 and "dead" in sk002[0].location
+        assert "earlier rules 0, 1 jointly take every packet" in sk002[0].message
+
     def test_partial_overlap_is_not_a_shadow(self):
         findings = check(view([
             rule(prefixes=("192.0.2.0/25",), key=0),
@@ -162,6 +181,17 @@ class TestDropVsPoliciesSK006:
             policies=[self._policy()],
         )
         assert "SK006" not in rules_of(findings)
+
+    def test_drop_behind_a_live_redirect_never_fires(self):
+        # First-match never reaches the DROP: no SK006, but SK002 calls it dead.
+        findings = check(
+            view([rule(key=0),
+                  rule(action=Verdict.DROP, prefixes=("192.0.2.128/25",), lo=80, hi=80,
+                       label="late-drop")]),
+            policies=[self._policy()],
+        )
+        assert rules_of(findings) == ["SK002"]
+        assert "late-drop" in findings[0].location
 
     def test_drop_vs_explicit_active_list(self):
         pool = AddressPool(parse_prefix("192.0.2.0/24"), name="web-pool")

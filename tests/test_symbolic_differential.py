@@ -6,21 +6,35 @@ model.  Equivalence is proven region-exhaustively per seed (every packet
 in the universe, not twelve samples), and the model itself is validated
 by replaying region witnesses on the real engines: if the symbolic
 partition says a rectangle redirects to slot 3, a packet drawn from that
-rectangle must come back from ``run()`` with slot 3's socket.
+rectangle must come back from ``run()`` with slot 3's socket.  The same
+replay covers the checker passes that report through the algebra (CP004,
+SK006, SK100): a witness drawn from a finding's first reported rectangle
+must meet the DROP or the missing socket the finding claims.
 """
 
+import os
 import random
+import re
 
+from repro.check import CheckContext, PolicyInfo, run_checkers
+from repro.check.config import load_check_config
 from repro.check.symbolic import (
     PacketSpace,
+    Rect,
     compiled_verdicts,
     equivalence_counterexample,
+    first_match,
+    mintable_space,
     program_verdicts,
 )
-from repro.netsim.addr import parse_address
+from repro.core.pool import AddressPool
+from repro.netsim.addr import parse_address, parse_prefix
 from repro.netsim.packet import FiveTuple, IPAddress, Packet, Protocol
-from repro.sockets.sklookup import Verdict
+from repro.sockets.lookup import LookupPath
+from repro.sockets.sklookup import MatchRule, SkLookupProgram, SockArray, Verdict
+from repro.sockets.socktable import SocketTable
 
+from test_check_controlplane import STANDBY, WEB, ctx, policy, program, redirect
 from test_compiled import build_twin_programs
 
 SRC = parse_address("198.51.100.9")
@@ -153,3 +167,89 @@ def _shift_one_network(description):
                         nets[key ^ (1 << 8)] = nets.pop(key)
                         return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Witness replay for the passes that report through the algebra: draw a
+# packet from the first rectangle a finding reports and run it through the
+# real interpreter / lookup path — it must meet the DROP or the missing
+# socket the finding claims.
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+_RECT = re.compile(r"([0-9a-f.:]+/\d+) (tcp|udp) (\d+)(?:\.\.(\d+))?")
+_PROTOS = {"tcp": Protocol.TCP.value, "udp": Protocol.UDP.value}
+
+
+def _first_reported(finding):
+    """The first rectangle a finding's message names, as a PacketSpace."""
+    match = _RECT.search(finding.message)
+    assert match is not None, finding.message
+    prefix = parse_prefix(match.group(1))
+    lo = int(match.group(3))
+    hi = int(match.group(4) or lo)
+    return PacketSpace([Rect(prefix.family, prefix.network, prefix.length,
+                             _PROTOS[match.group(2)], lo, hi)])
+
+
+def _realise(views):
+    """One real lookup path holding a real program per view, a listener in
+    every live slot (bound away from the checked space)."""
+    table = SocketTable()
+    path = LookupPath(table)
+    programs = []
+    for view in views:
+        sock_map = SockArray(view.map_size)
+        for slot in sorted(view.live_slots):
+            sock_map.update(slot, table.bind_listen(
+                Protocol.TCP, IPAddress.v4(SRC.value + 1 + slot), 80, owner="witness"))
+        programs.append(SkLookupProgram(view.name, sock_map, list(view.rules)))
+        path.attach(programs[-1])
+    return path, programs
+
+
+def test_cp004_witness_meets_the_drop_ahead_of_the_standby():
+    context = load_check_config(os.path.join(FIXTURES, "standby_drop_check.json"))
+    [cp004] = [f for f in run_checkers(context).findings if f.rule == "CP004"]
+    packet = _first_reported(cp004).witness_packet()
+    assert parse_prefix("203.0.113.0/25").contains(packet.dst)
+    _path, [real] = _realise(context.programs)
+    assert real.run(packet) == (Verdict.DROP, None)
+
+
+def test_sk100_witness_finds_no_socket_on_the_lookup_path():
+    context = ctx(policies=[policy()],
+                  programs=[program([redirect((WEB,), lo=443, hi=443)])])
+    sk100 = [f for f in run_checkers(context).findings if f.rule == "SK100"]
+    assert [f.location for f in sk100] == ["path:edge"]
+    packet = _first_reported(sk100[0]).witness_packet()
+    path, _programs = _realise(context.programs)
+    assert path.dispatch(packet, deliver=False).socket is None
+    # The model agrees the other way round: a tcp 443 packet is served.
+    served = PacketSpace.for_prefix(WEB, (Protocol.TCP.value,), ((443, 443),))
+    assert path.dispatch(served.witness_packet(), deliver=False).socket is not None
+
+
+def test_sk100_routing_witness_lies_outside_every_announcement():
+    context = ctx(policies=[policy()], announced=[STANDBY], programs=[])
+    [sk100] = [f for f in run_checkers(context).findings if f.rule == "SK100"]
+    packet = _first_reported(sk100).witness_packet()
+    assert not any(p.contains(packet.dst) for p in context.announced)
+    assert WEB.contains(packet.dst)
+
+
+def test_sk006_witness_is_mintable_and_dropped():
+    pool = AddressPool(WEB, name="web-pool")
+    drop = MatchRule(Verdict.DROP, Protocol.TCP, (parse_prefix("192.0.2.128/25"),), 80, 80)
+    context = CheckContext(
+        policies=[PolicyInfo("web", pool, 30)],
+        programs=[program([drop, redirect((WEB,))])],
+    )
+    [sk006] = [f for f in run_checkers(context).findings if f.rule == "SK006"]
+    assert sk006.location == "edge#rule0"
+    view = context.programs[0]
+    reach, _ = first_match(view.rules, view.live_slots, PacketSpace.universe())
+    swallowed = reach[0].intersect(mintable_space(pool, context.service_ports))
+    packet = swallowed.witness_packet()
+    assert pool.active_prefix.contains(packet.dst)
+    _path, [real] = _realise(context.programs)
+    assert real.run(packet) == (Verdict.DROP, None)
