@@ -1,8 +1,8 @@
 """E-flow: columnar flow-engine throughput, batched versus scalar, per stage.
 
-ROADMAP item 1 (keep the request path fast at CDN scale): PR 4 batched the
-sk_lookup dispatch stage; the flow engine batches the rest of the
-pipeline.  Each test here times one stage both ways on the *same* world
+ROADMAP.md's "Measured performance" pillar (keep the request path fast at
+CDN scale): PR 4 batched the sk_lookup dispatch stage; the flow engine
+batches the rest of the pipeline.  Each test here times one stage both ways on the *same* world
 and workload — the columnar ``FlowEngine`` stage against the
 loop-of-scalars seams ``FlowEngine.run_scalar`` uses — and persists a
 ``BENCH_flow_<stage>.json`` snapshot whose ``batch_speedup`` ratio the CI

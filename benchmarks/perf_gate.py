@@ -24,8 +24,9 @@ those:
                          resolve, hash and dispatch have no ratio — one
                          path, or a second kept only as the test
                          reference; a batch seam that stays must earn its
-                         keep, so the floors are ROADMAP item 2's bar, not
-                         "never slower than scalar")
+                         keep, so the floors are the bar of ROADMAP.md's
+                         "Quality of design" pillar, not "never slower
+                         than scalar")
 
 ``readdressing``
     ``drill_vs_soak``  — fetch throughput with a staged-shrink campaign

@@ -23,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from ..faults.errors import FaultConfigError
+from ..faults.errors import FaultConfigError, FaultError
 from ..faults.injector import Fault, FaultPlan
 from ..faults.registry import build_fault
 from ..hashing import stable_hash
@@ -31,11 +31,14 @@ from .world import (
     LEAKER_AS,
     PRIMARY_POP,
     PRIMARY_PREFIX,
+    REGIONS,
     ChaosConfig,
     resolver_transport_names,
 )
 
 __all__ = ["FaultSpec", "Campaign", "CampaignGenerator"]
+
+_WORLD_POPS = tuple(pop for _, pop in REGIONS)
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,18 @@ class FaultSpec:
 
     def build(self) -> Fault:
         return build_fault(self.kind, **self.params)
+
+    def validate(self, path: str) -> None:
+        """Build the fault and check its PoP is one of the chaos world's,
+        so a bad spec fails at load, named by its JSON ``path``."""
+        pop = self.params.get("pop")
+        if pop is not None and pop not in _WORLD_POPS:
+            raise FaultConfigError(f"{path}.params.pop: unknown PoP {pop!r}; "
+                                   f"the chaos world has {', '.join(_WORLD_POPS)}")
+        try:
+            self.build()
+        except FaultError as exc:
+            raise FaultConfigError(f"{path}: {exc.args[0]}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -106,12 +121,17 @@ class Campaign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Campaign":
-        return cls(
+        """Decode and validate: every fault is built once here, so a bad
+        parameter or PoP is a :class:`FaultConfigError` before any run."""
+        campaign = cls(
             name=str(data["name"]),
             seed=int(data["seed"]),
             faults=tuple(FaultSpec.from_dict(f) for f in data.get("faults", [])),
             overrides=dict(data.get("overrides", {})),
         )
+        for i, spec in enumerate(campaign.faults):
+            spec.validate(f"faults[{i}]")
+        return campaign
 
     @classmethod
     def from_json(cls, text: str) -> "Campaign":

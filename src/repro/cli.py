@@ -114,11 +114,6 @@ def _cmd_failover(args) -> str:
 
 def _cmd_chaos(args) -> str:
     from .chaos import minimize_campaign, run_campaign
-    from .experiments.chaos_soak import (
-        ChaosSoakConfig,
-        render_chaos_soak_table,
-        run_chaos_soak,
-    )
 
     if args.minimize:
         campaign = _load_campaign(args.minimize)
@@ -152,6 +147,11 @@ def _cmd_chaos(args) -> str:
         return output
 
     from .chaos import ChaosConfig
+    from .experiments.chaos_soak import (
+        ChaosSoakConfig,
+        render_chaos_soak_table,
+        run_chaos_soak,
+    )
 
     overrides = {"horizon": args.horizon, "clients_per_region": args.clients,
                  "num_sites": args.sites}

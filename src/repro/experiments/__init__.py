@@ -22,7 +22,7 @@ EXPERIMENTS.md records their output against the paper's numbers.
 | failover        | §3.4/§4.4 failover recovery (extension)|
 | chaos_soak      | §3.4/§6 chaos campaigns vs invariants (extension)|
 | bgp_convergence | §4.4/§6 convergence windows vs DNS rebind (extension)|
-| flow_perf       | ROADMAP item 1: columnar flow-engine throughput (extension)|
+| flow_perf       | "Measured performance": columnar flow-engine throughput (extension)|
 """
 
 from . import bgp_convergence, chaos_soak, coloring, dnsload, dnsqps, dos, failover, fig7, fig8, fig9, flow_perf, pageload, reduction, sklookup_perf, spillover, ttl

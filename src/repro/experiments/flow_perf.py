@@ -1,9 +1,10 @@
 """Experiment E-flow: end-to-end columnar flow-engine throughput.
 
-ROADMAP item 1 asks for the request path to keep up at CDN scale: PR 4
-batched the sk_lookup dispatch stage, and this experiment measures the
-rest — DNS query → policy match → mint → resolver cache → ECMP →
-dispatch → serve — scalar versus columnar, per stage and end to end.
+ROADMAP.md's "Measured performance" pillar asks for the request path to
+keep up at CDN scale: PR 4 batched the sk_lookup dispatch stage, and this
+experiment measures the rest — DNS query → policy match → mint → resolver
+cache → ECMP → dispatch → serve — scalar versus columnar, per stage and
+end to end.
 
 Builders here construct one self-contained world (a single PoP terminating
 a policy-minted /24, a hostname universe with certificates, a resolver

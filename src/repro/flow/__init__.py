@@ -1,7 +1,8 @@
 """repro.flow — the columnar end-to-end flow engine.
 
-ROADMAP item 1: the sk_lookup hot path was batched in an earlier PR, but
-the rest of the request pipeline still walked per-request Python objects.
+ROADMAP.md's "Measured performance" pillar: the sk_lookup hot path was
+batched in an earlier PR, but the rest of the request pipeline still walked
+per-request Python objects.
 This package carries one struct-of-arrays :class:`FlowBatch` through the
 *whole* path — DNS query → policy match → mint → resolver cache → ECMP →
 dispatch → serve — with flow hashes computed once per batch (on the numpy

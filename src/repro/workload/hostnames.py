@@ -33,15 +33,24 @@ def lognormal_sizes(median_bytes: float = 20_000.0, sigma: float = 1.2, seed: in
 
     Web object sizes are famously log-normal-ish with a heavy tail; bytes
     per IP in Figure 7 sweeps ~5 orders of magnitude partly because of it.
-    Each (hostname, path) hashes to its own stable draw.
+    Each (hostname, path) hashes to its own stable draw, computed on its
+    first fetch and read from the model's size table after that.
     """
     import math
 
     mu = math.log(median_bytes)
 
+    tables: dict[str, dict[str, int]] = {}  # path -> hostname -> size
+
     def model(hostname: str, path: str) -> int:
-        rng = random.Random(stable_hash(seed, hostname, path) & 0xFFFFFFFFFFFF)
-        return max(64, int(rng.lognormvariate(mu, sigma)))
+        table = tables.get(path)
+        if table is None:
+            table = tables[path] = {}
+        size = table.get(hostname)
+        if size is None:
+            rng = random.Random(stable_hash(seed, hostname, path) & 0xFFFFFFFFFFFF)
+            size = table[hostname] = max(64, int(rng.lognormvariate(mu, sigma)))
+        return size
 
     return model
 

@@ -141,6 +141,27 @@ class TestChaosCommand:
     def test_unreadable_campaign_exits_2(self, capsys):
         assert main(["chaos", "--campaign", "no/such/file.json"]) == 2
 
+    @pytest.mark.parametrize("fault, key, value, message", [
+        (2, "drop", 0, "faults[2]: lossy_link drop must be in (0, 1], got 0"),
+        (1, "pop", "nowhere", "faults[1].params.pop: unknown PoP 'nowhere'"),
+    ])
+    def test_bad_fault_exits_2_at_load(self, tmp_path, capsys, monkeypatch,
+                                       fault, key, value, message):
+        """A bad fault parameter or PoP is refused when the campaign loads,
+        naming its JSON path and value, before any world is built."""
+        with open(self.FIXTURE) as fh:
+            campaign = json.load(fh)
+        campaign["faults"][fault]["params"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(campaign))
+
+        def no_world(*args):
+            raise AssertionError("a chaos world was built for an invalid campaign")
+
+        monkeypatch.setattr("repro.chaos.runner.build_world", no_world)
+        assert main(["chaos", "--campaign", str(path)]) == 2
+        assert message in capsys.readouterr().out
+
 
 class TestBGPCommand:
     def run(self, argv, capsys) -> str:

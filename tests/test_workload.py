@@ -1,5 +1,6 @@
 """Workload generators: Zipf, universes, traffic, client populations."""
 
+import math
 import random
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hashing import stable_hash
+from repro.workload import hostnames
 from repro.workload.clients import ClientPopulation, PopulationConfig
 from repro.workload.hostnames import HostnameUniverse, UniverseConfig, lognormal_sizes
 from repro.workload.traffic import RequestStream, SessionGenerator
@@ -114,11 +117,37 @@ class TestUniverse:
         assert u1.hostnames == u2.hostnames
 
     def test_lognormal_sizes_stable_and_positive(self):
-        model = lognormal_sizes(seed=4)
-        s1 = model("a.example.com", "/x")
-        s2 = model("a.example.com", "/x")
-        assert s1 == s2 >= 64
-        assert model("a.example.com", "/y") != s1 or True  # different path may differ
+        # Two models built apart agree key by key: a size is a function of
+        # (seed, hostname, path), not of the table that happens to hold it.
+        a, b = lognormal_sizes(seed=4), lognormal_sizes(seed=4)
+        keys = [(f"h{i}.example.com", path) for i in range(200) for path in ("/", "/x")]
+        sizes = [a(h, p) for h, p in keys]
+        assert sizes == [b(h, p) for h, p in keys]
+        assert min(sizes) >= 64
+        # Both the path and the seed enter the draw.
+        assert sizes[0::2] != sizes[1::2]
+        assert sizes != [lognormal_sizes(seed=5)(h, p) for h, p in keys]
+
+    def test_lognormal_sizes_table_matches_formula(self, monkeypatch):
+        """The size table returns exactly the formula's draw, and hashes each
+        distinct (hostname, path) once however often it is fetched."""
+        hashed = []
+
+        def counting_hash(*parts):
+            hashed.append(parts)
+            return stable_hash(*parts)
+
+        monkeypatch.setattr(hostnames, "stable_hash", counting_hash)
+        model = lognormal_sizes(seed=11)
+        rng = random.Random(3)
+        keys = [(f"site{rng.randrange(600):07d}.example.com", rng.choice(("/", "/a", "/img.png")))
+                for _ in range(3000)]
+        for hostname, path in keys:
+            draw = random.Random(stable_hash(11, hostname, path) & 0xFFFFFFFFFFFF)
+            assert model(hostname, path) == max(64, int(draw.lognormvariate(math.log(20_000), 1.2)))
+        distinct = set(keys)
+        assert 1000 <= len(distinct) < len(keys)  # repeats included
+        assert sorted(hashed) == sorted((11, h, p) for h, p in distinct)
 
 
 class TestTraffic:
