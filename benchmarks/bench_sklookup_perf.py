@@ -12,16 +12,19 @@ absolute rates are ~3 orders lower; the claims checked are relative:
 * UDP dispatch ≥ TCP dispatch in pps (no connected-table probe… both do
   the probe here, so we assert they are within noise instead — and report
   both, as the kernel numbers do);
-* the compiled dispatch engine (:mod:`repro.sockets.compiled`) beats the
-  rule-by-rule interpreter by ≥ 3× on a 64-rule program, and batching
-  through :meth:`LookupPath.dispatch_batch` stacks further gains on top.
+* per-rule cost does not show: the compiled index
+  (:mod:`repro.sockets.compiled`, the only executor) dispatches a 64-rule
+  program as fast as a 1-rule one, and batching through
+  :meth:`LookupPath.dispatch_batch` never loses to per-packet dispatch.
 
-The interpreter/compiled/batched rates are persisted to
-``BENCH_sklookup_perf.json`` — the perf-trajectory snapshot the CI
-``bench-smoke`` job gates against ``benchmarks/baselines/`` (>20 %
-speedup regression fails the build; see ``benchmarks/perf_gate.py``).
+``rules64_vs_rules1`` — 64-rule ÷ 1-rule dispatch rate, the median of
+per-round ratios with the two arms timed back to back in each round — is
+persisted with the rates to ``BENCH_sklookup_perf.json``, the snapshot the
+CI ``bench-smoke`` job gates against ``benchmarks/baselines/`` (see
+``benchmarks/perf_gate.py``).
 """
 
+import statistics
 import time
 
 import pytest
@@ -40,10 +43,16 @@ from repro.obs import MetricsRegistry, time_lookup_path, watch_lookup_path
 
 N_PACKETS = 30_000
 ENGINE_RULES = 64  # the acceptance configuration: 63 fillers + 1 hit
+RULE_ROUNDS = 7
 
 
 @pytest.fixture(scope="module")
 def rates():
+    return {}
+
+
+@pytest.fixture(scope="module")
+def ratios():
     return {}
 
 
@@ -91,30 +100,44 @@ def test_program_overhead_on_miss_path(benchmark, rates):
     _bench_dispatch(benchmark, setup, packets, "sklookup-tcp-8rules", rates)
 
 
-def test_interpreter_64rule_dispatch(benchmark, rates):
-    """The rule-by-rule interpreter on the acceptance configuration: every
-    packet scans 63 non-matching filler rules before the pool rule hits."""
-    setup = build_sk_lookup(protocol=Protocol.TCP, extra_rules=ENGINE_RULES - 1,
-                            engine="interpreter")
-    packets = make_packets(N_PACKETS, pool=DEFAULT_POOL, protocol=Protocol.TCP)
-    _bench_dispatch(benchmark, setup, packets, "64rules-interpreter", rates)
-
-
 def test_compiled_64rule_dispatch(benchmark, rates):
-    """Same 64-rule program, compiled: protocol bucket + port segment +
-    mask-grouped LPM probes replace the linear scan."""
-    setup = build_sk_lookup(protocol=Protocol.TCP, extra_rules=ENGINE_RULES - 1,
-                            engine="compiled")
+    """The acceptance configuration: 63 non-matching filler rules ahead of
+    the pool rule, which protocol bucket + port segment + mask-grouped LPM
+    probes skip without scanning."""
+    setup = build_sk_lookup(protocol=Protocol.TCP, extra_rules=ENGINE_RULES - 1)
     packets = make_packets(N_PACKETS, pool=DEFAULT_POOL, protocol=Protocol.TCP)
     _bench_dispatch(benchmark, setup, packets, "64rules-compiled", rates)
 
 
+def test_dispatch_rate_is_flat_in_rule_count(benchmark, ratios):
+    """One round times the 1-rule and the 64-rule program back to back, and
+    the ratio is the median of the per-round ratios: between two separately
+    benchmarked arms a shared host drifts by more than the effect gated."""
+    setups = {rules: build_sk_lookup(protocol=Protocol.TCP, extra_rules=rules - 1)
+              for rules in (1, ENGINE_RULES)}
+    packets = make_packets(N_PACKETS, pool=DEFAULT_POOL, protocol=Protocol.TCP)
+    seconds: dict[int, list[float]] = {rules: [] for rules in setups}
+
+    def one_round():
+        for rules, setup in setups.items():
+            start = time.perf_counter()
+            assert dispatch_all(setup, packets) == N_PACKETS
+            seconds[rules].append(time.perf_counter() - start)
+
+    one_round()  # warm-up: compiles both programs, fills the allocator
+    for samples in seconds.values():
+        samples.clear()
+    benchmark.pedantic(one_round, rounds=RULE_ROUNDS, iterations=1)
+    ratios["rules64_vs_rules1"] = statistics.median(
+        one / many for one, many in zip(seconds[1], seconds[ENGINE_RULES])
+    )
+
+
 def test_compiled_batch_dispatch(benchmark, rates, obs):
-    """Compiled engine through dispatch_batch, with the repro.obs hookup
+    """The 64-rule program through dispatch_batch, with the repro.obs hookup
     live (stage counters + dispatch-latency histogram) to show the
     instrumented batch path still clears the bar."""
-    setup = build_sk_lookup(protocol=Protocol.TCP, extra_rules=ENGINE_RULES - 1,
-                            engine="compiled")
+    setup = build_sk_lookup(protocol=Protocol.TCP, extra_rules=ENGINE_RULES - 1)
     watch_lookup_path(obs, "dispatch", setup.path)
     time_lookup_path(obs, "dispatch_latency_seconds", setup.path, time.perf_counter)
     packets = make_packets(N_PACKETS, pool=DEFAULT_POOL, protocol=Protocol.TCP)
@@ -122,9 +145,10 @@ def test_compiled_batch_dispatch(benchmark, rates, obs):
                     runner=dispatch_all_batched)
 
 
-def test_relative_penalty_report(benchmark, rates, save_table, save_bench, obs):
+def test_relative_penalty_report(benchmark, rates, ratios, save_table, save_bench, obs):
     assert {"baseline-tcp", "sklookup-tcp", "sklookup-udp",
-            "64rules-interpreter", "64rules-compiled"} <= set(rates)
+            "64rules-compiled", "64rules-compiled-batch"} <= set(rates)
+    assert "rules64_vs_rules1" in ratios
     table = TextTable(
         "§3.3 dispatch throughput (simulated stack; kernel reported "
         "~1M TCP / ~2.5M UDP pps with 1-5% sk_lookup penalty)",
@@ -139,22 +163,17 @@ def test_relative_penalty_report(benchmark, rates, save_table, save_bench, obs):
     assert rates["sklookup-tcp"] > 0.5 * base
     assert rates["sklookup-tcp-8rules"] > 0.4 * base
 
-    # The engine claim: compiling the match logic buys ≥ 3× on 64 rules,
-    # and batching never loses to per-packet compiled dispatch.
-    speedup = rates["64rules-compiled"] / rates["64rules-interpreter"]
-    batch_speedup = rates["64rules-compiled-batch"] / rates["64rules-interpreter"]
-    assert speedup >= 3.0, f"compiled speedup {speedup:.2f}x < 3x"
-    assert batch_speedup >= speedup * 0.9
+    # Batching never loses to per-packet dispatch.  How flat the rate is
+    # in rule count is gated by perf_gate.py (rules64_vs_rules1).
+    assert rates["64rules-compiled-batch"] >= 0.9 * rates["64rules-compiled"]
 
     save_bench(
         "sklookup_perf",
         metrics=obs,
-        interpreter_pps=rates["64rules-interpreter"],
         compiled_pps=rates["64rules-compiled"],
         compiled_batch_pps=rates["64rules-compiled-batch"],
         baseline_tcp_pps=base,
-        speedup=speedup,
-        batch_speedup=batch_speedup,
         rules=ENGINE_RULES,
+        **ratios,
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

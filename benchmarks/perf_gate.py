@@ -8,9 +8,10 @@ the ratio ran on the same machine seconds apart — so the gate reads only
 those:
 
 ``sklookup_perf``
-    ``speedup``        — compiled / interpreter dispatch throughput,
-                         64-rule program (the tentpole claim; hard floor 3×)
-    ``batch_speedup``  — batched-compiled / interpreter throughput
+    ``rules64_vs_rules1`` — dispatch throughput of a 64-rule program / a
+                         1-rule program (the compiled index makes first
+                         match an index lookup, so the rate must be flat
+                         in program length)
 
 ``dns_qps``
     ``policy_vs_zone`` — randomized answering / static zone serving
@@ -62,7 +63,10 @@ BENCH_DIR = pathlib.Path(__file__).parent
 #: 20 % band around a ~1.0 baseline would flap — the 0.5 floor is the
 #: actual claim being defended).
 GATED: dict[str, dict[str, dict[str, float]]] = {
-    "sklookup_perf": {"speedup": {"floor": 3.0}, "batch_speedup": {"floor": 3.0}},
+    # rules64_vs_rules1: ~1.0 when dispatch is flat in rule count (the arms
+    # are interleaved round by round, as for table256_vs_table1); the
+    # rule-by-rule interpreter it replaced read 0.19.
+    "sklookup_perf": {"rules64_vs_rules1": {"floor": 0.7, "tolerance": 0.30}},
     # table256_vs_table1: 1.0 when first match is flat in table size (0.97-1.05
     # over five runs; the arms are interleaved round by round, so host drift
     # mostly cancels); the ordered walk it replaced read 0.19.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+import reprlib
 from dataclasses import dataclass, field, replace
 
 from ..faults.errors import FaultConfigError, FaultError
@@ -39,6 +40,18 @@ from .world import (
 __all__ = ["FaultSpec", "Campaign", "CampaignGenerator"]
 
 _WORLD_POPS = tuple(pop for _, pop in REGIONS)
+
+
+_NUMBER = (int, float)
+
+
+def _expect(value, kind, path: str):
+    """``value`` if it has the JSON type ``kind`` (``dict``, ``list`` or
+    ``_NUMBER``); else a :class:`FaultConfigError` naming its JSON ``path``."""
+    if not isinstance(value, kind):
+        noun = {dict: "an object", list: "a list"}.get(kind, "a number")
+        raise FaultConfigError(f"{path}: expected {noun}, got {reprlib.repr(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -74,12 +87,15 @@ class FaultSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
+    def from_dict(cls, data: dict, path: str = "fault") -> "FaultSpec":
+        _expect(data, dict, path)
+        duration = data.get("duration")
         return cls(
-            when=float(data["when"]),
+            when=float(_expect(data["when"], _NUMBER, f"{path}.when")),
             kind=str(data["kind"]),
-            duration=None if data.get("duration") is None else float(data["duration"]),
-            params=dict(data.get("params", {})),
+            duration=None if duration is None else float(_expect(duration, _NUMBER,
+                                                                 f"{path}.duration")),
+            params=dict(_expect(data.get("params", {}), dict, f"{path}.params")),
         )
 
 
@@ -122,12 +138,15 @@ class Campaign:
     @classmethod
     def from_dict(cls, data: dict) -> "Campaign":
         """Decode and validate: every fault is built once here, so a bad
-        parameter or PoP is a :class:`FaultConfigError` before any run."""
+        parameter, PoP or JSON shape is a :class:`FaultConfigError` naming
+        its JSON path before any run."""
+        _expect(data, dict, "campaign")
+        faults = _expect(data.get("faults", []), list, "faults")
         campaign = cls(
             name=str(data["name"]),
-            seed=int(data["seed"]),
-            faults=tuple(FaultSpec.from_dict(f) for f in data.get("faults", [])),
-            overrides=dict(data.get("overrides", {})),
+            seed=int(_expect(data["seed"], _NUMBER, "seed")),
+            faults=tuple(FaultSpec.from_dict(f, f"faults[{i}]") for i, f in enumerate(faults)),
+            overrides=dict(_expect(data.get("overrides", {}), dict, "overrides")),
         )
         for i, spec in enumerate(campaign.faults):
             spec.validate(f"faults[{i}]")

@@ -28,10 +28,9 @@ instant it first held.  Registered checkers (run in sorted-name order):
     At most one failover per fault episode: the monitor must latch, not
     flap between pools while a fault oscillates.
 ``stats_coherence``
-    The dispatch layer's accounting identities hold whichever engine
-    (interpreter or compiled) served the run: every sk_lookup program's
-    ``runs`` equals its outcomes, every ECMP router's total equals the
-    sum of its per-server counts.
+    The dispatch layer's accounting identities hold: every sk_lookup
+    program's ``runs`` equals its outcomes, every ECMP router's total
+    equals the sum of its per-server counts.
 ``bgp_oracle``
     Speakers mode, differential: once the event-driven network has fully
     converged (no down sessions, suppressions, or live flaps at the

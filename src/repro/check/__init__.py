@@ -22,9 +22,9 @@ verdict about rules or prefixes:
   sampled addresses on real catchments and sockets (deployment only);
 * :mod:`repro.check.symbolic` — the exact packet-space engine (prefix ×
   protocol × port-interval rectangles): proves every mintable packet
-  announced and dispatched on every lookup path (SK100) and the compiled
-  dispatch engine equivalent to the interpreter (SK101), with concrete
-  witness packets on failure;
+  announced and dispatched on every lookup path (SK100) and every live
+  compiled dispatch index true to its rules under every sock-array state
+  (SK101), with concrete witness packets on failure;
 * :mod:`repro.check.determinism` — an AST lint over simulation code for
   wall-clock reads, unseeded/global randomness, salted ``hash()`` seeds,
   unordered-set iteration, environment reads, and mutable shared state;

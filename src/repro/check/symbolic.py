@@ -4,7 +4,7 @@ A header-space-style exact set algebra over ``(dst-prefix ×
 wire-protocol × port-interval)`` rectangles: every checkable claim about
 rules or prefixes becomes set arithmetic over :class:`PacketSpace`
 values, and every failed claim carries a *witness* — a concrete packet
-inside the offending region that replays the failure on the real engines.
+inside the offending region that replays the failure on real dispatch.
 It is the only model of rule and prefix space in :mod:`repro.check`: the
 program pass (SK002/SK003/SK006), the control-plane pass (CP001–CP004)
 and plan verification (SK102/SK103, :mod:`repro.check.plan`) all decide
@@ -17,17 +17,20 @@ through it.  This module adds two passes of its own:
   SK006 judges), or a pass-through to the normal listener lookup — or
   report the exact uncovered rectangles.  CP008's live probe replays
   samples of the same claim on real catchments and real sockets.
-* ``SK101 engine-divergence`` — symbolically prove the compiled dispatch
-  index (:class:`~repro.sockets.compiled.CompiledProgram`) equivalent to
-  the rule-list interpreter for every attached program, and across attach
-  order on each lookup path.  The compiled index is evaluated from its
-  *own* description (:meth:`CompiledProgram.describe`), so a corrupted
-  index yields a counterexample packet rather than a vacuous pass.
+* ``SK101 index-divergence`` — check each attached program's live
+  compiled index (:class:`~repro.sockets.compiled.CompiledProgram`)
+  against the rules it was built from: for every rule *i*, the packets
+  the index's cells (:meth:`CompiledProgram.cells`) yield *i* for are
+  exactly :func:`rule_space` of rule *i*, with the rule's action and map
+  key.  Candidates run in ascending order with dead-slot fall-through,
+  so this gives first match's verdicts under *every* sock-array state
+  and attach order.  A finding names the rule, the cell it is wrongly
+  listed in or missing from, and a witness packet.
 
-Equivalence is relative to a sock-array snapshot: both engines read the
-same live map, so verdicts are compared at redirect-*slot* granularity
-with liveness frozen at check time — exactly the state either engine
-would see on the next packet.
+SK100 judges redirects with slot liveness frozen at check time, the
+state the next packet sees.  SK101 does not depend on slot state, so an
+index wrong only behind an empty slot is caught before a map update
+exposes it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .core import Checker, CheckContext, Finding, ProgramView, Severity
 __all__ = [
     "Rect",
     "PacketSpace",
-    "Divergence",
+    "IndexFault",
     "SymbolicChecker",
     "mintable_space",
     "prefix_space",
@@ -52,10 +55,8 @@ __all__ = [
     "first_match",
     "program_verdicts",
     "view_verdicts",
-    "compiled_verdicts",
-    "path_verdicts",
     "resolved_space",
-    "equivalence_counterexample",
+    "index_faults",
     "port_intervals",
 ]
 
@@ -446,7 +447,7 @@ def first_match(
 
     A redirect through an empty/stale slot consumes nothing (the kernel
     fall-through): its matched space flows on to the next rule exactly as
-    :meth:`SkLookupProgram.run` would send the packet there.
+    dispatch would send the packet there.
     """
     reach: list[PacketSpace] = []
     remaining = domain
@@ -461,8 +462,8 @@ def first_match(
 def _merge(out: VerdictSpaces, key, space: PacketSpace) -> None:
     """Accumulate into a verdict partition.  The pieces merged under one
     key always come from disjoint slices of the evaluation domain (distinct
-    consumed portions, segments, protocols, or pipeline stages), so the
-    cheap disjoint constructor is sound here."""
+    consumed portions or pipeline stages), so the cheap disjoint
+    constructor is sound here."""
     if space.is_empty():
         return
     prev = out.get(key)
@@ -477,7 +478,7 @@ def program_verdicts(
     live_slots: frozenset[int] | set[int],
     domain: PacketSpace,
 ) -> VerdictSpaces:
-    """The interpreter's verdict partition of ``domain``, symbolically."""
+    """First match's verdict partition of ``domain``, symbolically."""
     rules = tuple(rules)
     reach, miss = first_match(rules, live_slots, domain)
     out: VerdictSpaces = {}
@@ -492,123 +493,23 @@ def program_verdicts(
     return out
 
 
-def compiled_verdicts(
-    description: dict,
-    live_slots: frozenset[int] | set[int],
-    domain: PacketSpace,
-) -> VerdictSpaces:
-    """The compiled index's verdict partition of ``domain``, from its own
-    :meth:`~repro.sockets.compiled.CompiledProgram.describe` output.
-
-    Within one (protocol, port-segment) slice the index yields candidate
-    rule indices in ascending order and applies actions with the same
-    dead-slot fall-through as the interpreter — so the slice reduces to a
-    first-match walk over each index's prefix set.  Deliberate or
-    accidental index corruption (missing networks, shifted breakpoints,
-    wrong actions) shows up as a different partition, never as a crash.
-    """
-    out: VerdictSpaces = {}
-    actions = description["actions"]
-    for proto, segments in sorted(description["protocols"].items()):
-        proto_domain = domain.intersect(PacketSpace(
-            Rect(family, 0, 0, proto, PORT_MIN, PORT_MAX) for family in (IPv4, IPv6)
-        ))
-        if proto_domain.is_empty():
-            continue
-        covered = PacketSpace.empty()
-        for port_lo, port_hi, always, lpm in segments:
-            seg_domain = proto_domain.intersect(PacketSpace(
-                Rect(family, 0, 0, proto, port_lo, port_hi) for family in (IPv4, IPv6)
-            ))
-            covered = covered.union(seg_domain)
-            _segment_verdicts(out, seg_domain, proto, always, lpm, actions, live_slots)
-        # Ports below the first breakpoint bisect to the *last* segment —
-        # an impossible state for a faithful compile (breakpoints always
-        # include port 1) but exactly what a corrupted index would do.
-        leftovers = proto_domain.subtract(covered)
-        if not leftovers.is_empty() and segments:
-            _, _, always, lpm = segments[-1]
-            _segment_verdicts(out, leftovers, proto, always, lpm, actions, live_slots)
-        elif not leftovers.is_empty():
-            _merge(out, "miss", leftovers)
-    stray = domain
-    for key in out:
-        stray = stray.subtract(out[key])
-    _merge(out, "miss", stray)  # protocols absent from the index entirely
-    return out
-
-
-def _segment_verdicts(
-    out: VerdictSpaces,
-    seg_domain: PacketSpace,
-    proto: int,
-    always: tuple[int, ...],
-    lpm: dict,
-    actions: tuple,
-    live_slots,
-) -> None:
-    if seg_domain.is_empty():
-        return
-    per_index: dict[int, list[Rect]] = {}
-    for family, groups in lpm.items():
-        for length, nets in groups:
-            for network, indices in nets.items():
-                rect = Rect(family, network, length, proto, PORT_MIN, PORT_MAX)
-                for index in indices:
-                    per_index.setdefault(index, []).append(rect)
-    remaining = seg_domain
-    for index in sorted(set(per_index) | set(always)):
-        if remaining.is_empty():
-            break
-        if index in always:
-            matched = remaining
-        else:
-            matched = remaining.intersect(PacketSpace(per_index[index]))
-        if matched.is_empty():
-            continue
-        op, key = actions[index]
-        if op == "drop":
-            _merge(out, "drop", matched)
-        elif op == "redirect":
-            if key in live_slots:
-                _merge(out, ("redirect", key), matched)
-            else:
-                continue  # dead slot falls through inside the segment too
-        else:
-            _merge(out, "pass", matched)
-        remaining = remaining.subtract(matched)
-    _merge(out, "miss", remaining)
-
-
-def path_verdicts(stage_fns, domain: PacketSpace) -> VerdictSpaces:
-    """Compose per-program verdict functions along a lookup path.
-
-    ``stage_fns`` are callables ``domain -> VerdictSpaces`` in attach
-    order; a program's *miss* space (SK_PASS, no socket) flows to the next
-    program, exactly as :meth:`LookupPath.dispatch` consults stage-2
-    programs in order.
-    """
+def view_verdicts(views: Iterable[ProgramView], domain: PacketSpace) -> VerdictSpaces:
+    """The verdict partition of ``domain`` along one lookup path, given its
+    program views in attach order: a program's *miss* space (SK_PASS, no
+    socket) flows to the next program, exactly as
+    :meth:`LookupPath.dispatch` consults stage-2 programs in order."""
     out: VerdictSpaces = {}
     remaining = domain
-    for fn in stage_fns:
+    for view in views:
         if remaining.is_empty():
             break
-        verdicts = fn(remaining)
+        verdicts = program_verdicts(view.rules, view.live_slots, remaining)
         for key, space in verdicts.items():
             if key != "miss":
                 _merge(out, key, space)
         remaining = verdicts.get("miss", PacketSpace.empty())
     _merge(out, "miss", remaining)
     return out
-
-
-def view_verdicts(views: Iterable[ProgramView], domain: PacketSpace) -> VerdictSpaces:
-    """The verdict partition of ``domain`` along one lookup path, given its
-    program views in attach order."""
-    return path_verdicts(
-        [lambda d, v=view: program_verdicts(v.rules, v.live_slots, d) for view in views],
-        domain,
-    )
 
 
 def resolved_space(verdicts: VerdictSpaces) -> PacketSpace:
@@ -623,107 +524,94 @@ def resolved_space(verdicts: VerdictSpaces) -> PacketSpace:
     return PacketSpace.from_disjoint(rects)
 
 
-# -- engine equivalence ------------------------------------------------------
+# -- the compiled index against its rules ------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
-class Divergence:
-    """One point where interpreter and compiled index disagree."""
+class IndexFault:
+    """One rule a compiled index does not hold as written.
 
-    program: str
-    family: int
-    value: int
-    proto: int
-    port: int
-    interpreter: object  # verdict-map key
-    compiled: object
+    ``problem`` names the index cell the rule is wrongly listed in (or
+    listed out of order in), the region it is missing from, or the action
+    it carries instead; ``witness`` is a packet there.
+    """
 
-    def packet(self, src: str = "198.18.0.9", src_port: int = 40_000) -> Packet:
-        return Packet(
-            FiveTuple(
-                Protocol(self.proto), IPAddress.from_text(src), src_port,
-                IPAddress(self.family, self.value), self.port,
-            ),
-            syn=True,
-        )
+    rule: int
+    problem: str
+    witness: Packet
 
     def render(self) -> str:
-        proto = _PROTO_NAMES.get(self.proto, str(self.proto))
-        return (
-            f"packet dst={IPAddress(self.family, self.value)} {proto} "
-            f"port {self.port}: interpreter={_verdict_name(self.interpreter)} "
-            f"compiled={_verdict_name(self.compiled)}"
-        )
+        t = self.witness.tuple5
+        return (f"rule {self.rule} {self.problem}; witness packet dst={t.dst} "
+                f"{_PROTO_NAMES[t.protocol.value]} port {t.dst_port}")
 
 
-def _verdict_name(key) -> str:
-    if isinstance(key, tuple):
-        return f"redirect[{key[1]}]"
-    return str(key)
+def _action_name(verdict: Verdict | None, key: int | None) -> str:
+    if verdict is None:
+        return "no action"
+    return "drop" if verdict is Verdict.DROP else "pass" if key is None else f"redirect[{key}]"
 
 
-def _outcome_at(verdicts: VerdictSpaces, point: tuple[int, int, int, int]):
-    family, value, proto, port = point
-    for key, space in verdicts.items():
-        if space.contains_point(family, value, proto, port):
-            return key
-    return "miss"
+def index_faults(program) -> list[IndexFault]:
+    """Check ``program``'s live compiled index against its rule list.
 
-
-def equivalence_counterexample(
-    program,
-    domain: PacketSpace | None = None,
-    description: dict | None = None,
-) -> Divergence | None:
-    """Prove ``program``'s compiled index ≡ its interpreter over ``domain``
-    (default: the full packet universe), or produce a counterexample.
-
-    ``description`` defaults to the live compiled form's — pass a saved or
-    deliberately corrupted description to test the index as-deployed.
+    One fault per rule whose index cells differ from its :func:`rule_space`
+    (listed outside it, or missing from part of it), whose indexed action
+    is not its own, or that a cell lists out of ascending order; an index
+    entry for a rule the program lacks is listed outside the empty space.
+    Empty means the index dispatches exactly as first match over the rules
+    does, whatever the sock array holds.
     """
-    domain = domain if domain is not None else PacketSpace.universe()
-    if description is None:
-        description = program.compiled().describe()
-    view = ProgramView.from_program(program)
-    interp = program_verdicts(view.rules, view.live_slots, domain)
-    comp = compiled_verdicts(description, view.live_slots, domain)
-    for key in sorted(interp, key=_verdict_name):
-        diff = interp[key].subtract(comp.get(key, PacketSpace.empty()))
-        if diff.is_empty():
-            continue
-        point = diff.witness()
-        assert point is not None
-        family, value, proto, port = point
-        return Divergence(
-            program=program.name, family=family, value=value, proto=proto,
-            port=port, interpreter=key, compiled=_outcome_at(comp, point),
-        )
-    for key in sorted(comp, key=_verdict_name):
-        diff = comp[key].subtract(interp.get(key, PacketSpace.empty()))
-        if diff.is_empty():
-            continue
-        point = diff.witness()
-        assert point is not None
-        family, value, proto, port = point
-        return Divergence(
-            program=program.name, family=family, value=value, proto=proto,
-            port=port, interpreter=_outcome_at(interp, point), compiled=key,
-        )
-    return None
+    compiled = program.compiled()
+    rules = program.rules()
+    actions = compiled.actions()
+    faults: list[IndexFault] = []
+    listed: dict[int, list[Rect]] = {}
+    for cell, hits in compiled.cells():
+        rect = Rect(*cell)
+        late = next((i for prev, i in zip(hits, hits[1:]) if i <= prev), None)
+        if late is not None:
+            faults.append(IndexFault(late, f"is listed out of order in index cell "
+                                     f"{rect.render()}", PacketSpace([rect]).witness_packet()))
+        for index in hits:
+            listed.setdefault(index, []).append(rect)
+    for index in sorted(set(range(len(rules))) | set(listed)):
+        want = rule_space(rules[index]) if index < len(rules) else PacketSpace.empty()
+        cells = listed.get(index, [])
+        have = PacketSpace(cells)
+        extra, missing = have.subtract(want), want.subtract(have)
+        if extra.rects:
+            witness = extra
+            cell = next(c for c in cells if c.contains_point(*extra.witness()))
+            problem = f"is listed in index cell {cell.render()} outside its match space"
+        elif missing.rects:
+            witness = missing
+            problem = f"is missing from the index over {missing.rects[0].render()}"
+        else:
+            rule = rules[index]
+            held = actions[index] if index < len(actions) else (None, None)
+            if held == (rule.action, rule.map_key):
+                continue
+            witness = want
+            cell = next(c for c in cells if c.contains_point(*want.witness()))
+            problem = (f"is indexed as {_action_name(*held)} in cell {cell.render()}, "
+                       f"not as its own {_action_name(rule.action, rule.map_key)}")
+        faults.append(IndexFault(index, problem, witness.witness_packet()))
+    return faults
 
 
 # -- the checker pass --------------------------------------------------------
 
 
 class SymbolicChecker(Checker):
-    """SK100 exhaustive reachability + SK101 engine equivalence."""
+    """SK100 exhaustive reachability + SK101 index against its rules."""
 
     name = "symbolic"
 
     def run(self, ctx: CheckContext) -> list[Finding]:
         findings: list[Finding] = []
         findings.extend(self._check_reachability(ctx))
-        findings.extend(self._check_equivalence(ctx))
+        findings.extend(self._check_index(ctx))
         return findings
 
     # -- SK100 ---------------------------------------------------------------
@@ -780,58 +668,22 @@ class SymbolicChecker(Checker):
 
     # -- SK101 ---------------------------------------------------------------
 
-    def _check_equivalence(self, ctx: CheckContext) -> list[Finding]:
+    def _check_index(self, ctx: CheckContext) -> list[Finding]:
         dep = ctx.deployment
         if dep is None:
             return []  # config-described programs have no compiled form
         findings: list[Finding] = []
-        domain = PacketSpace.universe()
         for dc_name in sorted(dep.cdn.datacenters):
             dc = dep.cdn.datacenters[dc_name]
             for server_name in sorted(dc.servers):
-                server = dc.servers[server_name]
-                programs = server.lookup_path.programs()
-                for program in programs:
-                    divergence = equivalence_counterexample(program, domain)
-                    if divergence is not None:
-                        findings.append(self._divergence_finding(
-                            divergence, f"{server_name}#{program.name}"))
-                if len(programs) > 1:
-                    findings.extend(self._check_path_equivalence(
-                        server_name, programs, domain))
+                for program in dc.servers[server_name].lookup_path.programs():
+                    for fault in index_faults(program):
+                        findings.append(Finding(
+                            "SK101", "index-divergence", Severity.ERROR,
+                            f"compiled index disagrees with the rules it was "
+                            f"built from: {fault.render()}",
+                            f"{server_name}#{program.name}#rule{fault.rule}",
+                            "recompile the program (stale or corrupted index); "
+                            "replay the witness packet to confirm",
+                        ))
         return findings
-
-    def _check_path_equivalence(self, server_name, programs, domain) -> list[Finding]:
-        """Attach-order composition: interpreter chain vs compiled chain."""
-        def compiled_stage(program):
-            live = ProgramView.from_program(program).live_slots
-            description = program.compiled().describe()
-            return lambda d: compiled_verdicts(description, live, d)
-
-        interp = view_verdicts(map(ProgramView.from_program, programs), domain)
-        comp = path_verdicts([compiled_stage(p) for p in programs], domain)
-        for key in sorted(set(interp) | set(comp), key=_verdict_name):
-            diff = interp.get(key, PacketSpace.empty()).subtract(
-                comp.get(key, PacketSpace.empty()))
-            if diff.is_empty():
-                continue
-            point = diff.witness()
-            family, value, proto, port = point
-            divergence = Divergence(
-                program="+".join(p.name for p in programs),
-                family=family, value=value, proto=proto, port=port,
-                interpreter=_outcome_at(interp, point),
-                compiled=_outcome_at(comp, point),
-            )
-            return [self._divergence_finding(divergence, f"path:{server_name}")]
-        return []
-
-    @staticmethod
-    def _divergence_finding(divergence: Divergence, where: str) -> Finding:
-        return Finding(
-            "SK101", "engine-divergence", Severity.ERROR,
-            f"compiled index disagrees with the interpreter: {divergence.render()}",
-            where,
-            "recompile the program (stale or corrupted index); replay the "
-            "counterexample packet on both engines to confirm",
-        )

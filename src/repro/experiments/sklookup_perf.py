@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..analysis.reporting import TextTable, format_quantity
 from ..netsim.addr import IPAddress, Prefix, parse_address, parse_prefix
 from ..netsim.packet import FiveTuple, Packet, Protocol
-from ..sockets.lookup import Engine, LookupPath
+from ..sockets.lookup import LookupPath
 from ..sockets.sklookup import MatchRule, SkLookupProgram, SockArray, Verdict
 from ..sockets.socktable import SocketTable
 
@@ -78,13 +78,11 @@ def build_wildcard(pool: Prefix = DEFAULT_POOL, port: int = 80,
 
 
 def build_sk_lookup(pool: Prefix = DEFAULT_POOL, port: int = 80,
-                    protocol: Protocol = Protocol.TCP, extra_rules: int = 0,
-                    engine: Engine | str = Engine.COMPILED) -> DispatchSetup:
+                    protocol: Protocol = Protocol.TCP,
+                    extra_rules: int = 0) -> DispatchSetup:
     """The paper's configuration: one socket, one prefix rule (plus
     ``extra_rules`` no-match rules ahead of it, for program-length
-    sensitivity ablations).  ``engine`` picks the program executor —
-    benchmarks build the same program twice to report the
-    interpreter-vs-compiled speedup."""
+    sensitivity ablations)."""
     table = SocketTable()
     sock = table.bind_listen(protocol, INTERNAL, port, owner="svc")
     sock_map = SockArray(1)
@@ -96,9 +94,9 @@ def build_sk_lookup(pool: Prefix = DEFAULT_POOL, port: int = 80,
     ]
     rules.append(MatchRule(Verdict.PASS, protocol, (pool,), port, port, map_key=0))
     program = SkLookupProgram("svc", sock_map, rules)
-    path = LookupPath(table, engine=engine)
+    path = LookupPath(table)
     path.attach(program)
-    return DispatchSetup(f"sk_lookup(+{extra_rules},{Engine(engine).value})", table, path)
+    return DispatchSetup(f"sk_lookup(+{extra_rules})", table, path)
 
 
 def build_per_ip_binds(pool: Prefix, port: int = 80,

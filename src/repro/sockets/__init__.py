@@ -9,7 +9,7 @@ from .errors import (
     SocketError,
     VerifierError,
 )
-from .lookup import DispatchResult, Engine, LookupPath, LookupStage, flow_hash
+from .lookup import DispatchResult, LookupPath, LookupStage, flow_hash
 from .nat import CarrierGradeNAT, NatBinding, NatExhaustedError
 from .sklookup import (
     MAX_RULES_PER_PROGRAM,
@@ -36,7 +36,6 @@ __all__ = [
     "SocketError",
     "VerifierError",
     "DispatchResult",
-    "Engine",
     "LookupPath",
     "LookupStage",
     "flow_hash",

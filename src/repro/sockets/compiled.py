@@ -1,13 +1,11 @@
 """Compiled sk_lookup dispatch: the rule list lowered to an indexed matcher.
 
-The interpreter (:meth:`~repro.sockets.sklookup.SkLookupProgram.run`)
-evaluates an ordered rule list, rule by rule, prefix by prefix — O(rules)
-work on every packet.  That is faithful to Figure 5b but hostile to the
-ROADMAP's "as fast as the hardware allows" mandate: the kernel's program
+Read literally, Figure 5b's ordered rule list is evaluated rule by rule,
+prefix by prefix — O(rules) work on every packet.  The kernel's program
 runs on *every* packet at CDN scale, so the reproduction's evaluation of
 it must not be the bottleneck of every experiment above it.
 
-:class:`CompiledProgram` lowers the same rule list into three nested
+:class:`CompiledProgram` lowers the rule list into three nested
 indexes, chosen so each packet pays a constant number of dict/bisect
 probes instead of a linear scan:
 
@@ -31,21 +29,25 @@ including the kernel contract that a redirect through an empty or stale
 map slot falls through to the next matching rule.
 
 A compiled program shares the source program's ``stats`` dict and sock
-array, so counters stay coherent whichever engine ran, and map updates
-(``SockArray.update``/``delete``) take effect on the next packet with no
-recompilation — only *rule* changes invalidate, which
+array, so map updates (``SockArray.update``/``delete``) take effect on the
+next packet with no recompilation — only *rule* changes invalidate, which
 :meth:`SkLookupProgram.compiled` tracks via the program's rule version.
 
+This is the only executor.  ``tests/test_compiled.py`` fuzzes it against
+a rule-by-rule reference interpreter, and SK101 (:mod:`repro.check.symbolic`)
+reads the live tables through :meth:`CompiledProgram.cells`, so no map
+update can expose a stale index.
+
 Compilation is O(segments × rules-per-segment); with the verifier's
-4096-rule bound and realistic port sets it is microseconds, and the
-differential property suite (``tests/test_compiled.py``) holds the two
-engines verdict-for-verdict equal over seeded random rule/packet fuzz.
+4096-rule bound and realistic port sets it is microseconds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 
+from ..netsim.addr import IPv4, IPv6
 from ..netsim.packet import Packet, Protocol
 from .socktable import Socket
 from .sklookup import MatchRule, SkLookupProgram, Verdict
@@ -151,8 +153,7 @@ class CompiledProgram:
     Built by :meth:`SkLookupProgram.compiled`; ``version`` tags the rule
     list this was compiled from so stale caches are detected.  Shares the
     source program's sock array (live map updates need no recompile) and
-    ``stats`` dict (runs/redirects/drops/fallthroughs stay coherent across
-    engines).
+    ``stats`` dict (runs/redirects/drops/fallthroughs are the program's).
     """
 
     __slots__ = ("name", "map", "stats", "version", "_actions", "_by_proto")
@@ -182,49 +183,49 @@ class CompiledProgram:
 
     # -- introspection -----------------------------------------------------
 
-    def describe(self) -> dict:
-        """The compiled index, as data: what the dispatcher *actually*
-        consults, independent of the rule list it was built from.
+    def cells(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Every cell the dispatcher probes, with the candidates it yields.
 
-        The symbolic verifier (:mod:`repro.check.symbolic`) evaluates this
-        description against the interpreter's rule list to prove the two
-        engines equivalent — reading the real ``breaks``/``lpm``/``actions``
-        structures means a corrupted or stale index produces a divergence
-        counterexample rather than a vacuous pass.  Masks are reported as
-        prefix lengths; segments as inclusive port spans.
+        A cell is ``(family, network, prefix length, wire protocol,
+        port_lo, port_hi)``, read from the live tables rather than the
+        rules, so a stale or corrupted index shows as it dispatches: an
+        LPM entry with network bits outside its mask is never hit and
+        yields nothing, and ports below the first breakpoint bisect to the
+        last segment.
         """
-        actions = tuple(
-            ("drop" if op == _OP_DROP else "redirect" if op == _OP_REDIRECT else "pass",
-             key)
+        for proto, index in self._by_proto.items():
+            breaks = index.breaks
+            spans = [[(lo, hi - 1)] for lo, hi in zip(breaks, breaks[1:])]
+            spans.append([(breaks[-1], 0xFFFF), (1, breaks[0] - 1)])
+            for ports, segment in zip(spans, index.segments):
+                for lo, hi in ports:
+                    if lo > hi:
+                        continue
+                    if segment.always:
+                        for family in (IPv4, IPv6):
+                            yield (family, 0, 0, proto.value, lo, hi), segment.always
+                    for family, groups in segment.lpm.items():
+                        for mask, nets in groups:
+                            for network, hits in nets.items():
+                                if not network & ~mask:
+                                    yield (family, network, mask.bit_count(),
+                                           proto.value, lo, hi), hits
+
+    def actions(self) -> tuple[tuple[Verdict, int | None], ...]:
+        """Each candidate's action as the index holds it, in the rule's
+        terms ``(verdict, map key)``: a redirect is ``(PASS, key)``."""
+        return tuple(
+            (Verdict.DROP if op == _OP_DROP else Verdict.PASS,
+             key if op == _OP_REDIRECT else None)
             for op, key in self._actions
         )
-        protocols: dict[int, tuple] = {}
-        for proto, index in self._by_proto.items():
-            segments = []
-            for i, start in enumerate(index.breaks):
-                end = index.breaks[i + 1] - 1 if i + 1 < len(index.breaks) else 0xFFFF
-                segment = index.segments[i]
-                lpm = {
-                    family: tuple(
-                        (mask.bit_count(), dict(nets)) for mask, nets in groups
-                    )
-                    for family, groups in segment.lpm.items()
-                }
-                segments.append((start, end, segment.always, lpm))
-            protocols[int(proto.value)] = tuple(segments)
-        return {
-            "name": self.name,
-            "version": self.version,
-            "actions": actions,
-            "protocols": protocols,
-        }
 
     # -- dispatch ----------------------------------------------------------
 
     def run(self, packet: Packet) -> tuple[Verdict, Socket | None]:
-        """Indexed dispatch; contract identical to the interpreter's
-        :meth:`SkLookupProgram.run` (first match wins, empty/stale redirect
-        slots fall through, no match ⇒ SK_PASS with no socket)."""
+        """Indexed dispatch with the kernel contract (first match wins,
+        empty/stale redirect slots fall through, no match ⇒ SK_PASS with
+        no socket)."""
         stats = self.stats
         stats["runs"] += 1
         t = packet.tuple5

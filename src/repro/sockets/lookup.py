@@ -7,22 +7,17 @@ miss.  :class:`LookupPath` implements exactly that pipeline over a
 :class:`~repro.sockets.socktable.SocketTable`, with per-stage counters so
 experiments can show where packets resolve.
 
-Two engines execute the sk_lookup stage:
+One executor runs the sk_lookup stage: each program's rule list lowered
+to an indexed matcher (:mod:`repro.sockets.compiled`), constant probes per
+packet.  ``tests/test_compiled.py`` holds it verdict-for-verdict equal to a
+rule-by-rule reference interpreter, and SK101 (:mod:`repro.check.symbolic`)
+checks each live index against the rules it was built from.
 
-``Engine.COMPILED`` (the default)
-    each program's rule list lowered to an indexed matcher
-    (:mod:`repro.sockets.compiled`) — constant probes per packet;
-``Engine.INTERPRETER``
-    the faithful rule-by-rule scan of :meth:`SkLookupProgram.run`,
-    kept for differential testing and the interpreter-vs-compiled
-    benchmarks.
-
-Both produce identical verdicts and identical program stats; the
-differential property suite enforces it.  :meth:`LookupPath.dispatch_batch`
-is the high-throughput entry: compiled forms are fetched once per batch
-(not per packet), flow hashes can be supplied precomputed so the edge
-pipeline hashes each packet exactly once, and per-batch counters plus an
-optional dispatch-latency histogram feed :mod:`repro.obs`.
+:meth:`LookupPath.dispatch_batch` is the high-throughput entry: compiled
+forms are fetched once per batch (not per packet), flow hashes can be
+supplied precomputed so the edge pipeline hashes each packet exactly once,
+and per-batch counters plus an optional dispatch-latency histogram feed
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -39,20 +34,12 @@ from .sklookup import SkLookupProgram, Verdict
 from .socktable import Socket, SocketTable
 
 __all__ = [
-    "Engine",
     "LookupStage",
     "DispatchResult",
     "LookupPath",
     "flow_hash",
     "flow_hash_tuple",
 ]
-
-
-class Engine(str, enum.Enum):
-    """Which executor runs attached sk_lookup programs."""
-
-    INTERPRETER = "interpreter"
-    COMPILED = "compiled"
 
 
 class LookupStage(enum.Enum):
@@ -122,9 +109,8 @@ class LookupPath:
     the kernel's multi-program semantics.
     """
 
-    def __init__(self, table: SocketTable, engine: Engine | str = Engine.COMPILED) -> None:
+    def __init__(self, table: SocketTable) -> None:
         self.table = table
-        self.engine = Engine(engine)
         self._programs: list[SkLookupProgram] = []
         self.stage_counts: dict[LookupStage, int] = {stage: 0 for stage in LookupStage}
         #: Batch accounting, read by :func:`repro.obs.adapters.watch_lookup_path`.
@@ -161,16 +147,14 @@ class LookupPath:
         return tuple(self._programs)
 
     def _runners(self) -> list[Callable[[Packet], tuple[Verdict, Socket | None]]]:
-        """Per-program executors for the configured engine.
+        """Per-program executors: each attached program's compiled form.
 
         Fetched once per dispatch call (once per *batch* on the batch
         path), which is also where compiled-form invalidation is checked —
         rule changes mid-batch are not observed, exactly like a kernel
         program swap is atomic per packet.
         """
-        if self.engine is Engine.COMPILED:
-            return [program.compiled().run for program in self._programs]
-        return [program.run for program in self._programs]
+        return [program.compiled().run for program in self._programs]
 
     # -- dispatch ------------------------------------------------------------
 
@@ -199,7 +183,7 @@ class LookupPath:
         deliver: bool = True,
         flow_hashes: Sequence[int] | None = None,
     ) -> list[DispatchResult]:
-        """Dispatch many packets through one engine/program setup.
+        """Dispatch many packets through one program setup.
 
         The batch entry point hoists per-packet overhead: compiled program
         forms (and their invalidation check) are fetched once, stage

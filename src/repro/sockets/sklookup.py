@@ -17,9 +17,12 @@ same moving parts and contracts:
   ``SK_DROP`` drops the packet (used below for the "internal service not
   exposed externally" pattern §3.3 motivates).
 
-Crucially — as in the kernel — the program *never mutates sockets*: it maps
-packets onto already-listening sockets, so IP+port assignment becomes a map
-update rather than a bind, and can change while the service runs.
+A program is its ordered rule list; it runs through one executor, the
+compiled index :meth:`SkLookupProgram.compiled` returns
+(:mod:`repro.sockets.compiled`).  Crucially — as in the kernel — the
+program *never mutates sockets*: it maps packets onto already-listening
+sockets, so IP+port assignment becomes a map update rather than a bind,
+and can change while the service runs with no recompile.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..netsim.addr import Prefix
-from ..netsim.packet import Packet, Protocol
+from ..netsim.packet import Protocol
 from .errors import ProgramError, VerifierError
 from .socktable import Socket, SocketState
 
@@ -124,9 +127,8 @@ class MatchRule:
     an inclusive range so "all 65535 ports of one address to one socket"
     (Figure 4c) is a single rule.
 
-    Prefix matches are compiled to (family, network, mask) integer triples
-    at construction: rule evaluation is the dispatch hot path (the kernel
-    runs the BPF equivalent on every packet) and must not allocate.
+    Prefix matches are lowered to (family, network, mask) integer triples
+    at construction, the form the compiled index is built from.
     """
 
     action: Verdict
@@ -146,20 +148,6 @@ class MatchRule:
         object.__setattr__(self, "_compiled", compiled)
         wire = None if self.protocol is None else self.protocol.wire_protocol
         object.__setattr__(self, "_wire_protocol", wire)
-
-    def matches(self, packet: Packet) -> bool:
-        if self._wire_protocol is not None and packet.tuple5.protocol.wire_protocol is not self._wire_protocol:
-            return False
-        if not self.port_lo <= packet.tuple5.dst_port <= self.port_hi:
-            return False
-        if self._compiled:
-            dst = packet.tuple5.dst
-            family, value = dst.family, dst.value
-            for p_family, network, mask in self._compiled:
-                if family == p_family and (value & mask) == network:
-                    return True
-            return False
-        return True
 
     @property
     def is_redirect(self) -> bool:
@@ -237,13 +225,12 @@ class SkLookupProgram:
     def compiled(self):
         """The program's compiled form, rebuilt only when rules changed.
 
-        Returns a :class:`~repro.sockets.compiled.CompiledProgram` whose
-        verdicts are exactly the interpreter's (differential property
-        tests enforce this).  Rebuilds — counted in ``stats["compiles"]``
-        — happen on the first dispatch after :meth:`add_rule` or
-        :meth:`remove_rules`; sock-array updates never invalidate, and a
-        crash/restore that swaps in a fresh program starts from a fresh
-        cache by construction.
+        Returns the :class:`~repro.sockets.compiled.CompiledProgram` that
+        dispatches this program's packets.  Rebuilds — counted in
+        ``stats["compiles"]`` — happen on the first dispatch after
+        :meth:`add_rule` or :meth:`remove_rules`; sock-array updates never
+        invalidate, and a crash/restore that swaps in a fresh program
+        starts from a fresh cache by construction.
         """
         cache = self._compiled_cache
         if cache is None or cache.version != self._rule_version:
@@ -252,27 +239,6 @@ class SkLookupProgram:
             cache = self._compiled_cache = CompiledProgram(self)
             self.stats["compiles"] += 1
         return cache
-
-    # -- dispatch ----------------------------------------------------------------
-
-    def run(self, packet: Packet) -> tuple[Verdict, Socket | None]:
-        """Execute on one packet: (verdict, selected socket or None)."""
-        self.stats["runs"] += 1
-        for rule in self._rules:
-            if not rule.matches(packet):
-                continue
-            if rule.action is Verdict.DROP:
-                self.stats["drops"] += 1
-                return Verdict.DROP, None
-            if rule.is_redirect:
-                sock = self.map.lookup(rule.map_key)  # type: ignore[arg-type]
-                if sock is None:
-                    self.stats["fallthroughs"] += 1
-                    continue
-                self.stats["redirects"] += 1
-                return Verdict.PASS, sock
-            return Verdict.PASS, None  # explicit pass-through rule
-        return Verdict.PASS, None
 
 
 def _verify_rule(rule: MatchRule, sock_map: SockArray) -> None:

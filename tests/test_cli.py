@@ -162,6 +162,30 @@ class TestChaosCommand:
         assert main(["chaos", "--campaign", str(path)]) == 2
         assert message in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda c: {**c, "faults": [1, *c["faults"][1:]]},
+         "faults[0]: expected an object, got 1"),
+        (lambda c: {**c, "faults": {"a": 1}}, "faults: expected a list, got {'a': 1}"),
+        (lambda c: [c], "campaign: expected an object, got [{"),
+        (lambda c: {**c, "overrides": [1]}, "overrides: expected an object, got [1]"),
+        (lambda c: {**c, "faults": [{**c["faults"][0], "params": [1]}]},
+         "faults[0].params: expected an object, got [1]"),
+        (lambda c: {**c, "faults": [{**c["faults"][0], "when": None}]},
+         "faults[0].when: expected a number, got None"),
+    ], ids=["fault-int", "faults-object", "top-level-list", "overrides-list",
+            "params-list", "when-null"])
+    def test_wrong_shaped_campaign_exits_2_at_load(self, tmp_path, capsys,
+                                                   mutate, message):
+        """A campaign whose JSON has the wrong shape is refused at load with
+        exit 2 and its JSON path, not a TypeError traceback and exit 1 (the
+        code for a violated invariant)."""
+        with open(self.FIXTURE) as fh:
+            campaign = mutate(json.load(fh))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(campaign))
+        assert main(["chaos", "--campaign", str(path)]) == 2
+        assert message in capsys.readouterr().out
+
 
 class TestBGPCommand:
     def run(self, argv, capsys) -> str:

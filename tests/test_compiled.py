@@ -1,25 +1,24 @@
-"""Differential property suite: compiled dispatch ≡ the rule interpreter.
+"""Differential property suite: compiled dispatch ≡ the rules read literally.
 
-The compiled engine (:mod:`repro.sockets.compiled`) must be *semantically
-invisible*: for any program and any packet, verdict, chosen socket, and
-program stats match the rule-by-rule interpreter exactly — including the
-kernel contracts that first match wins, DROP short-circuits, and a
-redirect through an empty or stale map slot falls through to the next
-matching rule.  Seeded fuzz holds that over 1000 random program/packet
-cases; targeted tests pin each contract individually, plus the
-compile-cache invalidation rules and the batch path's accounting.
+The compiled index (:mod:`repro.sockets.compiled`) is the only sk_lookup
+executor, and it must be *semantically invisible*: for any program and any
+packet, verdict, chosen socket, and program stats match
+:func:`reference_run`, Figure 5b's rule list evaluated rule by rule —
+including the kernel contracts that first match wins, DROP short-circuits,
+and a redirect through an empty or stale map slot falls through to the
+next matching rule.  Seeded fuzz holds that over 1000 random
+program/packet cases; targeted tests pin each contract individually, plus
+the compile-cache invalidation rules and the batch path's accounting.
 """
 
 import random
 
-import pytest
-
 from repro.netsim.addr import IPAddress, Prefix, parse_address, parse_prefix
 from repro.netsim.packet import FiveTuple, Packet, Protocol
 from repro.sockets.compiled import CompiledProgram
-from repro.sockets.lookup import Engine, LookupPath, LookupStage
+from repro.sockets.lookup import LookupPath, LookupStage
 from repro.sockets.sklookup import MatchRule, SkLookupProgram, SockArray, Verdict
-from repro.sockets.socktable import SocketTable
+from repro.sockets.socktable import Socket, SocketTable
 
 POOL = parse_prefix("192.0.2.0/24")
 INTERNAL = parse_address("198.18.0.1")
@@ -38,6 +37,40 @@ def make_listeners(table: SocketTable, n: int, protocol=Protocol.TCP):
         table.bind_listen(protocol, IPAddress.v4(base + i), 80, owner="svc")
         for i in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The reference: the rule list read literally, one rule at a time
+
+
+def reference_matches(rule: MatchRule, packet: Packet) -> bool:
+    t = packet.tuple5
+    if rule.protocol is not None and t.protocol.wire_protocol is not rule.protocol.wire_protocol:
+        return False
+    if not rule.port_lo <= t.dst_port <= rule.port_hi:
+        return False
+    return not rule.prefixes or any(p.contains(t.dst) for p in rule.prefixes)
+
+
+def reference_run(program: SkLookupProgram, packet: Packet) -> tuple[Verdict, Socket | None]:
+    """First match over ``program``'s rules, counted in its ``stats``."""
+    stats = program.stats
+    stats["runs"] += 1
+    for rule in program.rules():
+        if not reference_matches(rule, packet):
+            continue
+        if rule.action is Verdict.DROP:
+            stats["drops"] += 1
+            return Verdict.DROP, None
+        if rule.is_redirect:
+            sock = program.map.lookup(rule.map_key)
+            if sock is None:
+                stats["fallthroughs"] += 1
+                continue
+            stats["redirects"] += 1
+            return Verdict.PASS, sock
+        return Verdict.PASS, None  # explicit pass-through rule
+    return Verdict.PASS, None
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +116,8 @@ def random_packet(rng: random.Random) -> Packet:
 
 def build_twin_programs(rng: random.Random):
     """Two programs with identical rules and one shared sock array —
-    separate stats dicts, so engine-for-engine counter equality is real."""
+    separate stats dicts, so reference-vs-compiled counter equality is
+    real.  The first runs through :func:`reference_run`."""
     table = SocketTable()
     listeners = make_listeners(table, 4)
     sock_map = SockArray(6)  # slots 4/5 stay empty: redirects fall through
@@ -104,11 +138,11 @@ def test_differential_fuzz_1000_cases():
         interp, compiled, source = build_twin_programs(rng)
         for i in range(12):
             pkt = random_packet(rng)
-            vi, si = interp.run(pkt)
+            vi, si = reference_run(interp, pkt)
             vc, sc = compiled.run(pkt)
             assert (vi, si) == (vc, sc), (
                 f"seed={seed} pkt#{i} {pkt.tuple5}: "
-                f"interpreter={(vi, si)} compiled={(vc, sc)}"
+                f"reference={(vi, si)} compiled={(vc, sc)}"
             )
         # Same rules, same packets ⇒ identical counters (compiles aside).
         want = dict(interp.stats, compiles=source.stats["compiles"])
@@ -116,33 +150,49 @@ def test_differential_fuzz_1000_cases():
 
 
 def test_differential_multi_program_attach_order():
-    """Both engines agree through the full LookupPath pipeline, including
-    multi-program first-responder semantics, over seeded traffic."""
-    rng = random.Random(4242)
-    table_i, table_c = SocketTable(), SocketTable()
-    paths = (LookupPath(table_i, engine=Engine.INTERPRETER),
-             LookupPath(table_c, engine=Engine.COMPILED))
-    for table, path in zip((table_i, table_c), paths):
+    """The lookup path agrees with the reference, program by program in
+    attach order, including multi-program first-responder semantics, over
+    seeded traffic (none of it to a bound listener, so a packet no
+    program takes is a miss)."""
+    def build_programs(table):
         listeners = make_listeners(table, 4)
+        programs = []
         for p in range(3):
             sock_map = SockArray(6)
             for i, sock in enumerate(listeners):
                 sock_map.update(i, sock)
             prog_rng = random.Random(1000 + p)
-            path.attach(SkLookupProgram(
+            programs.append(SkLookupProgram(
                 f"p{p}", sock_map,
                 [random_rule(prog_rng, 6) for _ in range(5)],
             ))
+        return programs
+
+    rng = random.Random(4242)
+    programs = build_programs(SocketTable())
+    path = LookupPath(SocketTable())
+    for program in build_programs(path.table):
+        path.attach(program)
+    want = {stage: 0 for stage in LookupStage}
     for _ in range(500):
         pkt = random_packet(rng)
-        ri = paths[0].dispatch(pkt, deliver=False)
-        rc = paths[1].dispatch(pkt, deliver=False)
-        assert ri.stage is rc.stage
+        stage, sock = LookupStage.MISS, None
+        for program in programs:
+            verdict, sock = reference_run(program, pkt)
+            if verdict is Verdict.DROP:
+                stage = LookupStage.DROPPED
+                break
+            if sock is not None:
+                stage = LookupStage.SK_LOOKUP
+                break
+        want[stage] += 1
+        rc = path.dispatch(pkt, deliver=False)
+        assert rc.stage is stage
         # Sockets live in twin tables; compare by bound address identity.
-        ai = ri.socket.local_addr if ri.socket else None
+        ai = sock.local_addr if sock else None
         ac = rc.socket.local_addr if rc.socket else None
         assert ai == ac
-    assert paths[0].stage_counts == paths[1].stage_counts
+    assert path.stage_counts == want
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +340,7 @@ class TestCompileCache:
         """Crash/restore replaces the attached program object; the compiled
         path must pick up the successor's rules, not a stale form."""
         table, prog, first, second = self.make_program()
-        path = LookupPath(table, engine=Engine.COMPILED)
+        path = LookupPath(table)
         path.attach(prog)
         assert path.dispatch(packet(), deliver=False).socket is first
         path.detach(prog)
@@ -307,7 +357,7 @@ class TestCompileCache:
 
 
 class TestDispatchBatch:
-    def build_path(self, engine=Engine.COMPILED):
+    def build_path(self):
         table = SocketTable()
         (listener,) = make_listeners(table, 1)
         arr = SockArray(1)
@@ -316,7 +366,7 @@ class TestDispatchBatch:
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=0),
             MatchRule(Verdict.DROP, Protocol.TCP, (parse_prefix("192.0.9.0/24"),), 1, 65535),
         ])
-        path = LookupPath(table, engine=engine)
+        path = LookupPath(table)
         path.attach(prog)
         return path, listener
 
@@ -367,13 +417,13 @@ class TestDispatchBatch:
         assert all(r.stage is LookupStage.LISTENER for r in results)
 
     def test_interpreter_engine_batch_parity(self):
-        compiled, _ = self.build_path(Engine.COMPILED)
-        interp, _ = self.build_path(Engine.INTERPRETER)
+        """The batch path agrees with the reference packet by packet."""
+        path, _ = self.build_path()
+        [program] = path.programs()
         packets = self.batch()
-        rc = compiled.dispatch_batch(packets, deliver=False)
-        ri = interp.dispatch_batch(packets, deliver=False)
-        assert [r.stage for r in rc] == [r.stage for r in ri]
-
-    def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError):
-            LookupPath(SocketTable(), engine="jit")
+        for pkt, result in zip(packets, path.dispatch_batch(packets, deliver=False)):
+            verdict, sock = reference_run(program, pkt)
+            stage = (LookupStage.DROPPED if verdict is Verdict.DROP
+                     else LookupStage.SK_LOOKUP if sock is not None
+                     else LookupStage.MISS)
+            assert (result.stage, result.socket) == (stage, sock)

@@ -180,7 +180,7 @@ class TestLegacySurfaces:
         prog = SkLookupProgram("p", arr, [
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=0),
         ])
-        prog.run(packet())
+        prog.compiled().run(packet())
         watch_sklookup(reg, "sk", prog)
 
         timeline = FaultTimeline()

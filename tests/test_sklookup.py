@@ -151,11 +151,11 @@ class TestProgramSemantics:
         prog = SkLookupProgram("redir_prefix", arr, [
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=0),
         ])
-        verdict, sock = prog.run(packet())
+        verdict, sock = prog.compiled().run(packet())
         assert verdict is Verdict.PASS and sock is listener
-        verdict, sock = prog.run(packet(dst="203.0.113.1"))
+        verdict, sock = prog.compiled().run(packet(dst="203.0.113.1"))
         assert sock is None  # outside prefix: falls through (SK_PASS, no sk)
-        verdict, sock = prog.run(packet(dport=443))
+        verdict, sock = prog.compiled().run(packet(dport=443))
         assert sock is None  # port mismatch
 
     def test_protocol_match_uses_wire_protocol(self, table):
@@ -166,7 +166,7 @@ class TestProgramSemantics:
             MatchRule(Verdict.PASS, Protocol.UDP, (POOL,), 443, 443, map_key=0),
         ])
         # QUIC packets are UDP on the wire and must match UDP rules.
-        verdict, sock = prog.run(packet(dport=443, proto=Protocol.QUIC))
+        verdict, sock = prog.compiled().run(packet(dport=443, proto=Protocol.QUIC))
         assert sock is udp_listener
 
     def test_first_matching_rule_wins(self, table, listener):
@@ -178,28 +178,32 @@ class TestProgramSemantics:
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=0),
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=1),
         ])
-        _, sock = prog.run(packet())
+        _, sock = prog.compiled().run(packet())
         assert sock is listener
 
     def test_empty_slot_falls_through_to_next_rule(self, table, listener):
+        doomed = table.bind_listen(Protocol.TCP, parse_address("198.18.0.2"), 80)
         arr = SockArray(4)
-        arr.update(1, listener)
+        arr.update(1, doomed)
+        arr.update(2, listener)
         prog = SkLookupProgram("p", arr, [
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=0),  # empty
-            MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=1),
+            MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=1),  # stale
+            MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=2),
         ])
-        _, sock = prog.run(packet())
+        table.close(doomed)
+        _, sock = prog.compiled().run(packet())
         assert sock is listener
-        assert prog.stats["fallthroughs"] == 1
+        assert prog.stats["fallthroughs"] == 2
 
     def test_drop_rule(self):
         """§3.3: keep an internal-only service unreachable from outside."""
         prog = SkLookupProgram("guard", SockArray(2), [
             MatchRule(Verdict.DROP, Protocol.TCP, (parse_prefix("192.0.2.128/25"),), 1, 65535),
         ])
-        verdict, sock = prog.run(packet(dst="192.0.2.200"))
+        verdict, sock = prog.compiled().run(packet(dst="192.0.2.200"))
         assert verdict is Verdict.DROP
-        verdict, _ = prog.run(packet(dst="192.0.2.1"))
+        verdict, _ = prog.compiled().run(packet(dst="192.0.2.1"))
         assert verdict is Verdict.PASS
 
     def test_explicit_pass_rule_stops_evaluation(self, table, listener):
@@ -209,7 +213,7 @@ class TestProgramSemantics:
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80),          # pass-through
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=0),
         ])
-        _, sock = prog.run(packet())
+        _, sock = prog.compiled().run(packet())
         assert sock is None  # explicit pass returned before the redirect
 
     def test_all_ports_rule(self, table, listener):
@@ -221,7 +225,7 @@ class TestProgramSemantics:
                       (parse_prefix("203.0.113.1/32"),), 1, 65535, map_key=0),
         ])
         for port in (1, 80, 443, 31337, 65535):
-            _, sock = prog.run(packet(dst="203.0.113.1", dport=port))
+            _, sock = prog.compiled().run(packet(dst="203.0.113.1", dport=port))
             assert sock is listener
 
     def test_rule_removal_by_label(self, table, listener):
@@ -232,7 +236,7 @@ class TestProgramSemantics:
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 443, 443, map_key=0, label="pool"),
         ])
         assert prog.remove_rules("pool") == 2
-        _, sock = prog.run(packet())
+        _, sock = prog.compiled().run(packet())
         assert sock is None
 
     def test_remove_rules_counted_in_stats(self, table, listener):
@@ -268,9 +272,9 @@ class TestProgramSemantics:
         prog = SkLookupProgram("p", arr, [
             MatchRule(Verdict.PASS, Protocol.TCP, (POOL,), 80, 80, map_key=0),
         ])
-        _, before = prog.run(packet())
+        _, before = prog.compiled().run(packet())
         arr.update(0, other)
-        _, after = prog.run(packet(sport=40001))
+        _, after = prog.compiled().run(packet(sport=40001))
         assert before is listener and after is other
 
 

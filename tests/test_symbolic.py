@@ -4,8 +4,9 @@ The algebra half is property-tested over random rectangle soups — the
 set identities (round-trip, point conservation, disjointness) must hold
 for *every* input or a checker verdict somewhere is wrong.  The checker
 half runs against the real seed deployment: clean as shipped, and loud
-with an exact rectangle (SK100) or a concrete counterexample packet
-(SK101) the moment a rule goes missing or a compiled index is corrupted.
+with an exact rectangle (SK100) or a concrete witness packet (SK101) the
+moment a rule goes missing or a compiled index is corrupted or stale —
+even when the stale entry hides behind an empty sock-array slot.
 """
 
 import dataclasses
@@ -13,18 +14,18 @@ import random
 
 import pytest
 
-from repro.check import context_from_deployment, run_checkers
+from repro.check import ProgramView, context_from_deployment, run_checkers
 from repro.check.symbolic import (
     PacketSpace,
     Rect,
     SymbolicChecker,
-    compiled_verdicts,
-    equivalence_counterexample,
+    index_faults,
     mintable_space,
-    path_verdicts,
     port_intervals,
     program_verdicts,
     resolved_space,
+    rule_space,
+    view_verdicts,
 )
 from repro.core import AddressPool
 from repro.deploy import Deployment, DeploymentConfig
@@ -33,6 +34,8 @@ from repro.netsim.packet import Protocol
 from repro.obs import MetricsRegistry
 from repro.sockets.sklookup import MatchRule, SkLookupProgram, SockArray, Verdict
 from repro.sockets.socktable import SocketTable
+
+from test_compiled import reference_matches, reference_run
 
 TCP, UDP = Protocol.TCP.value, Protocol.UDP.value
 
@@ -198,6 +201,8 @@ class TestVerdictPartitions:
         self._partition_is_exact(verdicts, domain)
 
     def test_compiled_model_matches_interpreter_model(self):
+        """The index lists each rule in exactly the cells of its rule
+        space, with its own action: SK101's property, on a mixed program."""
         table = SocketTable()
         sock_map = SockArray(4)
         for i, sock in enumerate(_listeners(table, 2)):
@@ -208,29 +213,30 @@ class TestVerdictPartitions:
             MatchRule(Verdict.DROP, None, (parse_prefix("10.0.0.0/8"),), 1, 1024),
             MatchRule(Verdict.PASS, Protocol.UDP, (), 443, 443, map_key=0),
         ])
-        domain = PacketSpace.universe()
-        live = {0, 1}
-        interp = program_verdicts(program.rules(), live, domain)
-        comp = compiled_verdicts(program.compiled().describe(), live, domain)
-        assert sorted(interp, key=str) == sorted(comp, key=str)
-        for key, space in interp.items():
-            assert space.equals(comp[key]), key
-        assert equivalence_counterexample(program) is None
+        compiled = program.compiled()
+        for i, rule in enumerate(program.rules()):
+            cells = [Rect(*cell) for cell, hits in compiled.cells() if i in hits]
+            assert PacketSpace(cells).equals(rule_space(rule)), i
+        assert compiled.actions() == tuple(
+            (rule.action, rule.map_key) for rule in program.rules())
+        assert index_faults(program) == []
 
     def test_path_composition_forwards_misses(self):
-        stage1 = {
-            "drop": PacketSpace([rect("10.0.0.0/16")]),
-            "miss": PacketSpace([rect("10.1.0.0/16")]),
-        }
-        stage2 = {("redirect", 0): PacketSpace([rect("10.1.0.0/16")])}
-        verdicts = path_verdicts(
-            [lambda d: stage1, lambda d: stage2],
-            PacketSpace([rect("10.0.0.0/16"), rect("10.1.0.0/16")]),
-        )
-        assert verdicts[("redirect", 0)].equals(stage2[("redirect", 0)])
-        assert "miss" not in verdicts or verdicts["miss"].is_empty()
-        assert resolved_space(verdicts).points == \
-            stage1["drop"].points + stage2[("redirect", 0)].points
+        """The second program sees only what the first one missed: its
+        DROP over both /16s cannot take 10.0/16 from the first program."""
+        drop, moved = parse_prefix("10.0.0.0/16"), parse_prefix("10.1.0.0/16")
+        stage1 = ProgramView("p1", (MatchRule(Verdict.DROP, Protocol.TCP, (drop,)),),
+                             1, frozenset())
+        stage2 = ProgramView("p2", (
+            MatchRule(Verdict.PASS, Protocol.TCP, (moved,), map_key=0),
+            MatchRule(Verdict.DROP, Protocol.TCP, (drop, moved)),
+        ), 1, frozenset({0}))
+        verdicts = view_verdicts(
+            [stage1, stage2], PacketSpace([rect("10.0.0.0/16"), rect("10.1.0.0/16")]))
+        assert verdicts["drop"].equals(PacketSpace([rect("10.0.0.0/16")]))
+        assert verdicts[("redirect", 0)].equals(PacketSpace([rect("10.1.0.0/16")]))
+        assert "miss" not in verdicts
+        assert resolved_space(verdicts).points == 2 * rect("10.0.0.0/16").points
 
     def test_mintable_space_explicit_addresses_are_host_rects(self):
         addrs = (parse_address("192.0.2.1"), parse_address("192.0.2.9"))
@@ -243,6 +249,40 @@ class TestVerdictPartitions:
 
 # ---------------------------------------------------------------------------
 # The checker pass against the live seed deployment
+
+
+def _lpm_tables(compiled):
+    """Every ``{network: candidates}`` table of the live index."""
+    for index in compiled._by_proto.values():
+        for segment in index.segments:
+            for groups in segment.lpm.values():
+                for _mask, nets in groups:
+                    yield nets
+
+
+def _shift_one_network(compiled):
+    """Shift one LPM key of the live index, as a stale or bit-flipped
+    index would hold it; False when the index has no prefix entries."""
+    for nets in _lpm_tables(compiled):
+        if nets:
+            key = sorted(nets)[0]
+            nets[key ^ (1 << 8)] = nets.pop(key)
+            return True
+    return False
+
+
+def _drop_rule_from_index(compiled, rule):
+    """Strip one rule from the live index's candidate lists."""
+    for index in compiled._by_proto.values():
+        for segment in index.segments:
+            segment.always = tuple(i for i in segment.always if i != rule)
+    for nets in _lpm_tables(compiled):
+        for network, hits in list(nets.items()):
+            kept = tuple(i for i in hits if i != rule)
+            if kept:
+                nets[network] = kept
+            else:
+                del nets[network]
 
 
 @pytest.fixture(scope="module")
@@ -277,31 +317,83 @@ class TestSymbolicChecker:
         server = dc.servers[sorted(dc.servers)[0]]
         program = server.lookup_path.programs()[0]
         compiled = program.compiled()
-        assert self._corrupt_one_network(compiled)
+        assert _shift_one_network(compiled)
 
-        divergence = equivalence_counterexample(program)
-        assert divergence is not None
-        # The counterexample replays: the two engines really disagree on it.
-        pkt = divergence.packet()
-        assert program.run(pkt) != compiled.run(pkt)
-        assert "interpreter=" in divergence.render()
+        faults = index_faults(program)
+        assert faults
+        # Each witness replays: the live index and the rule it names
+        # disagree on whether the rule is a candidate for that packet.
+        for fault in faults:
+            rule = program.rules()[fault.rule]
+            pkt = fault.witness
+            listed = [cell for cell, hits in compiled.cells() if fault.rule in hits]
+            in_index = PacketSpace(Rect(*cell) for cell in listed).contains_point(
+                pkt.dst.family, pkt.dst.value, pkt.protocol.wire_protocol.value,
+                pkt.dst_port)
+            assert in_index != reference_matches(rule, pkt), fault.render()
+        # And it misdispatches under today's slots.
+        pkt = faults[0].witness
+        assert reference_run(program, pkt) != compiled.run(pkt)
 
         findings = SymbolicChecker().run(context_from_deployment(dep))
         sk101 = [f for f in findings if f.rule == "SK101"]
         assert sk101 and server.name in sk101[0].location
+        assert "witness packet dst=" in sk101[0].message
 
-    @staticmethod
-    def _corrupt_one_network(compiled):
-        # Shift one LPM key the way a stale or bit-flipped index would.
-        for index in compiled._by_proto.values():
-            for segment in index.segments:
-                for groups in segment.lpm.values():
-                    for _mask, nets in groups:
-                        if nets:
-                            key = sorted(nets)[0]
-                            nets[key ^ (1 << 8)] = nets.pop(key)
-                            return True
-        return False
+    def test_stale_index_behind_an_empty_slot_is_caught(self):
+        """An index that lost a redirect to an *empty* slot dispatches like
+        its rules until the slot is filled; SK101 must not wait for that.
+        Judged under today's slots alone, this index passes."""
+        dep = Deployment.build(DeploymentConfig(num_hostnames=40))
+        dc = dep.cdn.datacenters[sorted(dep.cdn.datacenters)[0]]
+        server = dc.servers[sorted(dc.servers)[0]]
+        live, spare = _listeners(SocketTable(), 2)
+        sock_map = SockArray(8)
+        sock_map.update(0, live)
+        net = parse_prefix("192.0.2.0/24")
+        program = SkLookupProgram("stale", sock_map, [
+            MatchRule(Verdict.PASS, Protocol.TCP, (net,), 80, 80, map_key=4),  # empty
+            MatchRule(Verdict.PASS, Protocol.TCP, (net,), 80, 80, map_key=0),
+        ])
+        server.lookup_path.attach(program)
+        compiled = program.compiled()
+        _drop_rule_from_index(compiled, 0)  # as a compile that predates rule 0
+
+        findings = SymbolicChecker().run(context_from_deployment(dep))
+        [sk101] = [f for f in findings if f.rule == "SK101"]
+        assert sk101.location == f"{server.name}#stale#rule0"
+        assert "rule 0 is missing from the index over 192.0.2.0/24 tcp 80" in sk101.message
+
+        [fault] = index_faults(program)
+        pkt = fault.witness
+        sock_map.update(4, spare)
+        assert reference_run(program, pkt) == (Verdict.PASS, spare)
+        assert compiled.run(pkt) == (Verdict.PASS, live)
+
+    def test_candidates_out_of_order_are_caught(self):
+        """Every rule's cells can be right and first match still broken: a
+        cell that lists rule 1 ahead of rule 0 sends the packet to rule 1's
+        socket.  SK101 checks the order too."""
+        table = SocketTable()
+        first, second = _listeners(table, 2)
+        sock_map = SockArray(2)
+        sock_map.update(0, first)
+        sock_map.update(1, second)
+        net = parse_prefix("192.0.2.0/24")
+        program = SkLookupProgram("p", sock_map, [
+            MatchRule(Verdict.PASS, Protocol.TCP, (net,), 80, 80, map_key=0),
+            MatchRule(Verdict.PASS, Protocol.TCP, (net,), 80, 80, map_key=1),
+        ])
+        compiled = program.compiled()
+        for nets in _lpm_tables(compiled):
+            for network, hits in nets.items():
+                nets[network] = hits[::-1]
+
+        [fault] = index_faults(program)
+        assert fault.rule == 0
+        assert "out of order in index cell 192.0.2.0/24 tcp 80" in fault.render()
+        assert reference_run(program, fault.witness) == (Verdict.PASS, first)
+        assert compiled.run(fault.witness) == (Verdict.PASS, second)
 
     def test_pass_metrics_are_recorded(self, deployment):
         ctx = context_from_deployment(deployment)

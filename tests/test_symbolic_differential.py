@@ -1,15 +1,18 @@
-"""Differential suite: the symbolic engine vs both real dispatch engines.
+"""Differential suite: the symbolic engine vs the dispatch it models.
 
-``test_compiled`` fuzzes interpreter against compiled engine packet by
-packet; this suite turns the same 1000-seed corpus on the *symbolic*
-model.  Equivalence is proven region-exhaustively per seed (every packet
-in the universe, not twelve samples), and the model itself is validated
-by replaying region witnesses on the real engines: if the symbolic
-partition says a rectangle redirects to slot 3, a packet drawn from that
-rectangle must come back from ``run()`` with slot 3's socket.  The same
-replay covers the checker passes that report through the algebra (CP004,
-SK006, SK100): a witness drawn from a finding's first reported rectangle
-must meet the DROP or the missing socket the finding claims.
+``test_compiled`` fuzzes the compiled index against the reference
+interpreter packet by packet; this suite turns the same 1000-seed corpus
+on the *symbolic* model.  SK101's property — each rule's index cells are
+exactly its rule space, with its own action — is proven per seed over
+every packet in the universe, and a corrupted index must show as a
+witness inside the rule's symmetric difference.  The model itself is
+validated by replaying region witnesses: if the symbolic partition says
+a rectangle redirects to slot 3, a packet drawn from that rectangle must
+come back from the reference and the compiled index with slot 3's
+socket.  The same replay covers the checker passes that report through
+the algebra (CP004, SK006, SK100): a witness drawn from a finding's first
+reported rectangle must meet the DROP or the missing socket the finding
+claims.
 """
 
 import os
@@ -21,11 +24,11 @@ from repro.check.config import load_check_config
 from repro.check.symbolic import (
     PacketSpace,
     Rect,
-    compiled_verdicts,
-    equivalence_counterexample,
     first_match,
+    index_faults,
     mintable_space,
     program_verdicts,
+    rule_space,
 )
 from repro.core.pool import AddressPool
 from repro.netsim.addr import parse_address, parse_prefix
@@ -35,7 +38,8 @@ from repro.sockets.sklookup import MatchRule, SkLookupProgram, SockArray, Verdic
 from repro.sockets.socktable import SocketTable
 
 from test_check_controlplane import STANDBY, WEB, ctx, policy, program, redirect
-from test_compiled import build_twin_programs
+from test_compiled import build_twin_programs, reference_run
+from test_symbolic import _shift_one_network
 
 SRC = parse_address("198.51.100.9")
 
@@ -61,34 +65,31 @@ def _expected_outcome(program, key):
 
 
 def test_symbolic_equivalence_holds_over_the_full_corpus():
-    """Zero divergences across all 1000 corpus seeds, whole packet universe."""
+    """SK101's property on all 1000 corpus seeds, whole packet universe:
+    every rule's index cells are exactly its rule space, with its action."""
     for seed in range(1000):
-        rng = random.Random(seed)
-        interp, compiled, _source = build_twin_programs(rng)
-        divergence = equivalence_counterexample(
-            interp, description=compiled.describe())
-        assert divergence is None, f"seed={seed}: {divergence.render()}"
+        _interp, _compiled, source = build_twin_programs(random.Random(seed))
+        faults = index_faults(source)
+        assert not faults, f"seed={seed}: {faults[0].render()}"
 
 
 def test_region_witnesses_replay_on_both_engines():
-    """Model soundness: every region's witness behaves as classified."""
+    """Model soundness: every region's witness behaves as classified, on
+    the reference interpreter and on the compiled index."""
     domain = PacketSpace.universe()
     for seed in range(0, 1000, 10):
         rng = random.Random(seed)
         interp, compiled, _source = build_twin_programs(rng)
-        live = _live_slots(interp)
-        partitions = (
-            (program_verdicts(interp.rules(), live, domain), interp),
-            (compiled_verdicts(compiled.describe(), live, domain), compiled),
-        )
-        for verdicts, engine in partitions:
-            for key, space in verdicts.items():
-                want = _expected_outcome(interp, key)
-                for rect in space.rects[:6]:
-                    got = engine.run(_witness(rect))
+        verdicts = program_verdicts(interp.rules(), _live_slots(interp), domain)
+        for key, space in verdicts.items():
+            want = _expected_outcome(interp, key)
+            for rect in space.rects[:6]:
+                for name, run in (("reference", lambda p: reference_run(interp, p)),
+                                  ("compiled", compiled.run)):
+                    got = run(_witness(rect))
                     assert got == want, (
                         f"seed={seed} {rect.render()}: symbolic says "
-                        f"{key!r}, {engine.name} returned {got}"
+                        f"{key!r}, {name} returned {got}"
                     )
 
 
@@ -97,19 +98,15 @@ def test_verdict_partition_is_exact_over_the_corpus():
     domain = PacketSpace.universe()
     for seed in range(0, 1000, 25):
         rng = random.Random(seed)
-        interp, compiled, _source = build_twin_programs(rng)
-        live = _live_slots(interp)
-        for verdicts in (
-            program_verdicts(interp.rules(), live, domain),
-            compiled_verdicts(compiled.describe(), live, domain),
-        ):
-            union = PacketSpace.empty()
-            total = 0
-            for space in verdicts.values():
-                union = union.union(space)
-                total += space.points
-            assert total == domain.points, f"seed={seed}"
-            assert union.equals(domain), f"seed={seed}"
+        interp, _compiled, _source = build_twin_programs(rng)
+        verdicts = program_verdicts(interp.rules(), _live_slots(interp), domain)
+        union = PacketSpace.empty()
+        total = 0
+        for space in verdicts.values():
+            union = union.union(space)
+            total += space.points
+        assert total == domain.points, f"seed={seed}"
+        assert union.equals(domain), f"seed={seed}"
 
 
 def test_round_trip_identity_on_corpus_rule_spaces():
@@ -142,37 +139,37 @@ def test_region_witnesses_lie_inside_their_region():
 
 
 def test_corrupted_description_is_caught_across_the_corpus():
-    """Flipping one LPM network in the description must surface somewhere:
-    the verifier reads the index as data, so damage can't hide behind the
-    shared rule list."""
-    caught = 0
-    for seed in range(0, 200, 10):
-        rng = random.Random(seed)
-        interp, compiled, _source = build_twin_programs(rng)
-        description = compiled.describe()
-        if not _shift_one_network(description):
+    """Shifting one LPM network of the live index must surface, on every
+    seed where the shift changes what the index yields: SK101 reads the
+    index's own tables, so damage can't hide behind the shared rule list
+    or behind today's sock-array slots."""
+    shifted = caught = 0
+    for seed in range(1000):
+        _interp, _compiled, source = build_twin_programs(random.Random(seed))
+        compiled = source.compiled()
+        if not _shift_one_network(compiled):
             continue  # no prefix rules this seed
-        if equivalence_counterexample(interp, description=description) is not None:
-            caught += 1
-    assert caught >= 10  # the great majority of corruptions must be visible
-
-
-def _shift_one_network(description):
-    for segments in description["protocols"].values():
-        for _start, _end, _always, lpm in segments:
-            for groups in lpm.values():
-                for _length, nets in groups:
-                    if nets:
-                        key = sorted(nets)[0]
-                        nets[key ^ (1 << 8)] = nets.pop(key)
-                        return True
-    return False
+        shifted += 1
+        faults = index_faults(source)
+        caught += bool(faults)
+        for fault in faults:
+            t = fault.witness.tuple5
+            point = (t.dst.family, t.dst.value, t.protocol.wire_protocol.value, t.dst_port)
+            listed = PacketSpace(Rect(*cell) for cell, hits in compiled.cells()
+                                 if fault.rule in hits)
+            rules = source.rules()
+            want = rule_space(rules[fault.rule]) if fault.rule < len(rules) \
+                else PacketSpace.empty()
+            assert listed.contains_point(*point) != want.contains_point(*point), (
+                f"seed={seed}: {fault.render()}")
+    assert shifted == 978
+    assert caught >= 684, caught
 
 
 # ---------------------------------------------------------------------------
 # Witness replay for the passes that report through the algebra: draw a
 # packet from the first rectangle a finding reports and run it through the
-# real interpreter / lookup path — it must meet the DROP or the missing
+# compiled index / lookup path — it must meet the DROP or the missing
 # socket the finding claims.
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -213,7 +210,7 @@ def test_cp004_witness_meets_the_drop_ahead_of_the_standby():
     packet = _first_reported(cp004).witness_packet()
     assert parse_prefix("203.0.113.0/25").contains(packet.dst)
     _path, [real] = _realise(context.programs)
-    assert real.run(packet) == (Verdict.DROP, None)
+    assert real.compiled().run(packet) == (Verdict.DROP, None)
 
 
 def test_sk100_witness_finds_no_socket_on_the_lookup_path():
@@ -252,4 +249,4 @@ def test_sk006_witness_is_mintable_and_dropped():
     packet = swallowed.witness_packet()
     assert pool.active_prefix.contains(packet.dst)
     _path, [real] = _realise(context.programs)
-    assert real.run(packet) == (Verdict.DROP, None)
+    assert real.compiled().run(packet) == (Verdict.DROP, None)
